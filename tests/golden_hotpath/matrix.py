@@ -15,10 +15,20 @@ a JSON-stable form:
 * (one dedicated cell) a benchmark artifact with its volatile sections and
   machine fingerprint stripped, reduced to a SHA-256.
 
-The fixtures were captured BEFORE the hot-path optimization landed, so a
-pass proves the optimized simulator is bit-identical to the pre-change
-build in every deterministic output, across seeds × workloads ×
-{healthy, faults, durability}.
+Cells were captured in two groups, each from the build just before the
+change it guards, so a pass proves the current simulator is bit-identical
+to those builds in every deterministic output:
+
+* the traced ``healthy``/``faults``/``durability`` cells and
+  ``bench_artifact`` — with the build that preceded the hot-path
+  optimization of commit b9b3551 (which added them);
+* the ``untraced``, ``lease``, ``jitter``, ``datapath``, ``kvstore``,
+  ``elastic`` and ``netfaults`` cells — at commit 1ac5a47, before the
+  general client loop was folded into the compiled-plan loop.  The
+  untraced cells replay with the tracer off, so they pin the loop a
+  healthy unobserved run takes.
+
+Fixtures are never re-captured to make a change pass.
 """
 
 from __future__ import annotations
@@ -52,7 +62,17 @@ CELLS = {
     "faults_wi_seed0": ("wi", 0, "faults"),
     "durability_wi_seed0": ("wi", 0, "durability"),
     "durability_rw_seed1": ("rw", 1, "durability"),
+    "untraced_ro_seed0": ("ro", 0, "untraced"),
+    "lease_rw_seed0": ("rw", 0, "lease"),
+    "jitter_rw_seed1": ("rw", 1, "jitter"),
+    "datapath_wi_seed0": ("wi", 0, "datapath"),
+    "kvstore_rw_seed0": ("rw", 0, "kvstore"),
+    "elastic_rw_seed0": ("rw", 0, "elastic"),
+    "netfaults_rw_seed0": ("rw", 0, "netfaults"),
 }
+
+#: flavors replayed with the span tracer off (their spans hash is empty)
+UNTRACED_FLAVORS = ("untraced", "lease", "jitter", "datapath", "kvstore")
 
 #: the dedicated bench-artifact cell (runs through repro.bench end to end)
 BENCH_CELL = "bench_artifact"
@@ -80,6 +100,58 @@ def fault_schedule():
     )
 
 
+def network_fault_schedule():
+    """Partition, drops and a crash; drops draw the ``fault-drop`` stream,
+    so this cell is sensitive to the order in which RPCs are issued."""
+    from repro.fs.faults import Crash, FaultSchedule, Partition, RpcDrop
+
+    return FaultSchedule(
+        events=[
+            Partition(mds=0, start_ms=15.0, end_ms=25.0),
+            RpcDrop(mds=0, start_ms=10.0, end_ms=90.0, probability=0.05),
+            Crash(mds=1, start_ms=62.0, end_ms=85.0, warmup_ms=10.0, warmup_factor=2.0),
+        ]
+    )
+
+
+def elastic_spec():
+    """A threshold pool that starts small and grows under the cell's load."""
+    from repro.fs.elastic import AutoscaleSpec
+
+    return AutoscaleSpec(
+        policy="threshold",
+        min_mds=1,
+        max_mds=N_MDS + 1,
+        warmup_ms=8.0,
+        warmup_factor=2.0,
+        cooldown_epochs=0,
+        scale_out_util=0.6,
+        scale_in_util=0.2,
+    )
+
+
+def _flavor_config(flavor: str, scratch: str) -> Dict[str, Any]:
+    """SimConfig overrides for one flavor (on top of the shared run shape)."""
+    if flavor == "faults":
+        return {"faults": fault_schedule()}
+    if flavor == "netfaults":
+        return {"faults": network_fault_schedule()}
+    if flavor == "durability":
+        return {"data_dir": f"{scratch}/stores"}
+    if flavor == "lease":
+        return {"cache_mode": "lease"}
+    if flavor == "jitter":
+        return {"rtt_jitter": 0.2}
+    if flavor == "datapath":
+        return {"datapath": {"n_servers": 2}}
+    if flavor == "kvstore":
+        return {"use_kvstore": True}
+    if flavor == "elastic":
+        # short epochs so the pool has several decision points to scale at
+        return {"n_mds": N_MDS - 1, "epoch_ms": EPOCH_MS / 4.0, "autoscale": elastic_spec()}
+    return {}
+
+
 def run_cell(name: str) -> Dict[str, Any]:
     """Execute one matrix cell and reduce it to its comparable form."""
     from repro.balancers import LunulePolicy
@@ -91,21 +163,22 @@ def run_cell(name: str) -> Dict[str, Any]:
     kind, seed, flavor = CELLS[name]
     built, trace = build_workload(kind, N_OPS, seed)
     obs = Observability(
-        trace=True,  # in-memory tracer: spans retained, no file
+        # in-memory tracer: spans retained, no file
+        trace=flavor not in UNTRACED_FLAVORS,
         timeline=True,
         timeline_window_ms=EPOCH_MS / 5.0,
     )
     with tempfile.TemporaryDirectory(prefix="repro-hotpath-golden-") as scratch:
-        config = SimConfig(
-            n_mds=N_MDS,
-            n_clients=N_CLIENTS,
-            epoch_ms=EPOCH_MS,
-            params=CostParams(cache_depth=CACHE_DEPTH),
-            seed=seed,
-            obs=obs,
-            faults=fault_schedule() if flavor == "faults" else None,
-            data_dir=f"{scratch}/stores" if flavor == "durability" else None,
-        )
+        shape = {
+            "n_mds": N_MDS,
+            "n_clients": N_CLIENTS,
+            "epoch_ms": EPOCH_MS,
+            "params": CostParams(cache_depth=CACHE_DEPTH),
+            "seed": seed,
+            "obs": obs,
+        }
+        shape.update(_flavor_config(flavor, scratch))
+        config = SimConfig(**shape)
         result = run_simulation(built.tree, trace, LunulePolicy(), config)
 
     result_dict = result.to_dict()
