@@ -70,8 +70,11 @@ class EpochDriver:
         fs = self.fs
         env = fs.env
         audit = fs.obs.audit
-        elastic = getattr(fs, "elastic", None)
+        elastic = fs.elastic
         liveness = fs.liveness if elastic is not None else None
+        # balancers get a degraded-mode liveness mask only when membership
+        # can change: crashes (faults) or voluntary joins/drains (elastic)
+        degraded = elastic is not None or fs.faults is not None
         m_epochs = fs.obs.registry.counter("epochs_total", "epoch boundaries crossed")
         while True:
             yield env.timeout(fs.config.epoch_ms)
@@ -91,11 +94,7 @@ class EpochDriver:
                 oracle_window=fs.upcoming(self.oracle_window_ops),
                 completed_window=completed,
                 obs=fs.obs,
-                mds_up=(
-                    liveness.serving_mask()
-                    if liveness is not None
-                    else fs.faults.up_mask() if fs.faults is not None else None
-                ),
+                mds_up=fs.liveness.serving_mask() if degraded else None,
                 liveness=liveness,
             )
             decisions = self.policy.rebalance(ctx)

@@ -1,11 +1,10 @@
 """The single per-MDS liveness view shared by faults and elasticity.
 
-Before this module the only cluster-membership signal was the fault
-injector's boolean ``up_mask()`` — enough for *involuntary* departure
-(crashes), but voluntary elasticity needs more states: a provisioning MDS
-is **warming** (serving slowly, a valid migration destination), a departing
-one is **draining** (still serving, never a destination), and a parked or
-removed one is **gone** (not a pool member at all).  :class:`MDSLiveness`
+Crash flags alone are enough for *involuntary* departure, but voluntary
+elasticity needs more states: a provisioning MDS is **warming** (serving
+slowly, a valid migration destination), a departing one is **draining**
+(still serving, never a destination), and a parked or removed one is
+**gone** (not a pool member at all).  :class:`MDSLiveness`
 folds both signals into one view:
 
 * involuntary state (crashed / restarted) stays authoritative on
@@ -13,10 +12,10 @@ folds both signals into one view:
 * voluntary state (warming / draining / gone) lives in this class's state
   array — the elastic pool controller drives it.
 
-``FaultInjector.up_mask()`` is now a deprecation shim over
-:meth:`serving_mask`; with no elastic pool every member is ``UP`` and the
-combined view degenerates to exactly the old ``[s.up for s in servers]``
-boolean mask, bit for bit.
+The epoch driver hands :meth:`serving_mask` to the balancers whenever
+faults or an elastic pool are present; with no elastic pool every member
+is ``UP`` and the combined view degenerates to exactly the servers'
+``[s.up for s in servers]`` crash flags, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ class MDSLiveness:
         """Members currently able to serve requests: not crashed, not gone.
 
         Warming and draining MDSs serve (slowly / while evacuating); this is
-        the mask ``EpochContext.mds_up`` carries and the old ``up_mask()``
-        shim returns.
+        the mask ``EpochContext.mds_up`` carries.
         """
         return self.up_array() & (self._state != GONE)
 

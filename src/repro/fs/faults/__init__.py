@@ -12,9 +12,7 @@ this subsystem makes failure a first-class, scriptable input:
   round-trippable (``simulate --faults schedule.json``);
 * :mod:`~repro.fs.faults.injector` — :class:`FaultInjector` wires a schedule
   into a live run: crash timeline, per-RPC client gate, fault accounting;
-* :mod:`~repro.fs.faults.errors` — the typed failures clients observe;
-* :mod:`~repro.fs.faults.legacy` — the deprecated :class:`SlowdownInjector`
-  shim over the schedule model.
+* :mod:`~repro.fs.faults.errors` — the typed failures clients observe.
 """
 
 from repro.fs.faults.errors import (
@@ -26,7 +24,6 @@ from repro.fs.faults.errors import (
     RpcTimeoutError,
 )
 from repro.fs.faults.injector import FaultInjector
-from repro.fs.faults.legacy import SlowdownInjector
 from repro.fs.faults.schedule import (
     SCHEDULE_SCHEMA_VERSION,
     Crash,
@@ -49,7 +46,6 @@ __all__ = [
     "RetryPolicy",
     "FaultSchedule",
     "FaultInjector",
-    "SlowdownInjector",
     "FaultError",
     "MdsUnavailableError",
     "MdsCrashedError",

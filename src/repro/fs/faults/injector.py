@@ -23,9 +23,7 @@ with an empty schedule is bit-identical to a run with no schedule at all
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
-
-import numpy as np
+from typing import Dict, Generator, List
 
 from repro.fs.faults.errors import (
     FaultError,
@@ -87,12 +85,6 @@ class FaultInjector:
         for server in fs.servers:
             server.attach_faults(self)
         fs.faults = self
-        # an injector installed after construction (the legacy
-        # SlowdownInjector shim) must void the fast path: engagement was
-        # decided while fs.faults was still None, and the inlined replay
-        # loop never consults the injector.  Clients dispatch on this flag
-        # at run() time, so clearing it here is sufficient.
-        fs.fastpath_engaged = False
         self.control_procs: List = []
         edges = schedule.crash_edges()
         if edges:
@@ -166,20 +158,6 @@ class FaultInjector:
             if window is not None and now < window[0]:
                 f = max(f, window[1])
         return f
-
-    def up_mask(self) -> np.ndarray:
-        """Boolean per-MDS liveness (the balancers' degraded-mode input).
-
-        Deprecation shim: membership is now owned by the filesystem's
-        :class:`~repro.fs.elastic.liveness.MDSLiveness` view, which folds
-        this injector's crash flags together with voluntary elastic states
-        (warming/draining/gone).  Prefer ``fs.liveness.serving_mask()``.
-        With no elastic pool the two are identical, bit for bit.
-        """
-        liveness = getattr(self.fs, "liveness", None)
-        if liveness is not None:
-            return liveness.serving_mask()
-        return np.array([s.up for s in self.fs.servers], dtype=bool)
 
     def count_service_abort(self) -> None:
         self.aborted_in_service += 1

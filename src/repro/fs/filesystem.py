@@ -1,7 +1,8 @@
 """OrigamiFS assembly: configuration, the cluster object, and ``run_simulation``.
 
 A run wires together: the namespace tree, a trace, a balancing policy, the
-MDS servers, client workers, the near-root cache, the Data Collector
+MDS servers, client workers (every configuration replays through the one
+op loop of :mod:`repro.fs.client`), the near-root cache, the Data Collector
 (:class:`~repro.namespace.stats.AccessStats`), the Migrator, and the epoch
 driver — then advances virtual time until the trace is fully replayed.
 
@@ -39,7 +40,6 @@ from repro.namespace.stats import AccessStats
 from repro.namespace.tree import NamespaceTree
 from repro.obs import NULL_OBS, Observability
 from repro.sim import DurabilityCostModel, Environment, SeedSequenceFactory
-from repro.sim import fastpath
 from repro.workloads.trace import Trace
 
 __all__ = ["SimConfig", "OrigamiFS", "run_simulation"]
@@ -89,11 +89,6 @@ class SimConfig:
     #: ``n_mds`` is the *initial* pool size and the cluster is provisioned
     #: at ``autoscale.max_mds`` capacity with the surplus parked
     autoscale: Optional[object] = None
-    #: vectorized replay fast path (repro.sim.fastpath): True/False force
-    #: it on/off, None defers to the REPRO_FASTPATH env var (default on).
-    #: Either way it only engages on configurations it reproduces
-    #: bit-identically — see fastpath.engaged for the eligibility list
-    fastpath: Optional[bool] = None
 
     def __post_init__(self):
         if self.n_mds < 1 or self.n_clients < 1:
@@ -230,7 +225,7 @@ class OrigamiFS:
             else None
         )
 
-        # ---- hot-path acceleration state (pure caches, never results) ----
+        # ---- client-loop state (pure caches, never results) ----
         #: trace columns as plain Python lists: per-op reads skip numpy
         #: scalar boxing (one box + int() per field per op otherwise)
         self._ops = trace.op.tolist()
@@ -242,11 +237,13 @@ class OrigamiFS:
         self._think = trace.think_ms.tolist() if trace.think_ms is not None else None
         #: constant RTT when jitter is off (the default) — no RNG either way
         self._rtt_const = self.params.rtt if self.config.rtt_jitter == 0 else None
-        #: memoised client plans, keyed (dir_ino, lsdir?); flushed whenever
-        #: the stamp (pmap.dir_version, tree.version) moves — see
-        #: ClientWorker._plan for the exact validity argument
-        self._plan_cache: Dict[tuple, tuple] = {}
-        self._plan_cache_stamp = (-1, -1)
+        #: compiled client RPC schedules, keyed ``dir_ino << 1 | lsdir?`` and
+        #: shared by every client; flushed whenever the stamp
+        #: (pmap.dir_version, tree.version) moves — see
+        #: ClientWorker._compile for the exact validity argument
+        self._plan_cache: Dict[int, tuple] = {}
+        self._plan_dv = -1
+        self._plan_tv = -1
 
         self.cursor = 0
         self.replay_done = len(trace) == 0
@@ -281,12 +278,6 @@ class OrigamiFS:
         if autoscale is not None:
             self.elastic = MDSPoolController(self, autoscale)
 
-        #: decided once everything the eligibility check inspects is built;
-        #: clients dispatch on this flag (see repro.sim.fastpath)
-        self.fastpath_engaged = fastpath.engaged(self)
-        if self.fastpath_engaged:
-            fastpath.prepare(self)
-
         # bind the timeline last: the clock has already warped (restores) and
         # the setup-population WAL activity is behind the snapshot baseline,
         # so window deltas cover exactly the run itself
@@ -304,13 +295,27 @@ class OrigamiFS:
             for name, child in tree.children(d).items():
                 store.kv_put(b"%020d/%s" % (d, name.encode()), b"inode")
 
-    def next_op_index(self) -> Optional[int]:
-        if self.cursor >= len(self.trace):
-            self.replay_done = True
-            return None
-        i = self.cursor
-        self.cursor += 1
-        return i
+    @property
+    def fastpath_engaged(self) -> bool:
+        """True when the run uses no per-op hook of the client loop.
+
+        That is: no faults, tracer, data path, kvstore or durability, a
+        near-root cache, constant RTT and a fixed pool (the windowed
+        timeline is not a hook).  A report, not a switch — every run takes
+        the same loop; this says whether it runs hook-free.  Derived on
+        each read, so a fault injector installed after construction turns
+        it False.
+        """
+        return (
+            self.faults is None
+            and not self.obs.tracer.enabled
+            and self.datapath is None
+            and not self.use_kvstore
+            and self.durability is None
+            and self.cache.__class__ is NearRootCache
+            and self._rtt_const is not None
+            and self.elastic is None
+        )
 
     def upcoming(self, n: int) -> Trace:
         """The next ``n`` not-yet-issued operations (oracle's view)."""

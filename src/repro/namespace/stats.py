@@ -53,7 +53,7 @@ class AccessStats:
         #: number of times the counter arrays were physically reallocated;
         #: doubling keeps this O(log capacity) regardless of op count
         self.growths = 0
-        # deferred per-epoch op buffers (the vectorised replay path appends
+        # deferred per-epoch op buffers (the client loop appends
         # bare dir inos here instead of incrementing counters per op); any
         # counter read flushes them first via np.add.at
         self._buf_reads: list = []

@@ -1,9 +1,10 @@
 """Fault-injection tests: schedules, crash semantics, retries, evacuation.
 
-The first half exercises the legacy ``SlowdownInjector`` shim (both its
-DeprecationWarning and its equivalence with the schedule model); the second
-half covers the schedule-model subsystem: JSON round-trips, crash windows
-with zero lost ops, drop/partition paths, restart warm-up, and dead-MDS
+The first half covers service slowdowns installed with
+``FaultInjector(fs, FaultSchedule(...))`` after construction (validation,
+factor windows, throughput impact, balancer response); the second half
+covers the rest of the schedule model: JSON round-trips, crash windows with
+zero lost ops, drop/partition paths, restart warm-up, and dead-MDS
 evacuation by the balancer.
 """
 
@@ -24,7 +25,6 @@ from repro.fs.faults import (
     RpcDelay,
     RpcDrop,
     Slowdown,
-    SlowdownInjector,
 )
 from repro.fs.filesystem import OrigamiFS, run_simulation
 from repro.sim import SeedSequenceFactory
@@ -36,7 +36,7 @@ def run_with_faults(policy, slowdowns, seed=0, n_ops=30000):
     cfg = SimConfig(n_mds=4, n_clients=100, epoch_ms=80.0, params=CostParams(cache_depth=2))
     fs = OrigamiFS(built.tree, trace, policy, cfg)
     if slowdowns:
-        SlowdownInjector(fs, slowdowns)
+        FaultInjector(fs, FaultSchedule(slowdowns))
     return fs.run()
 
 
@@ -51,31 +51,41 @@ def test_injector_rejects_unknown_mds():
     built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=100)
     fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
     with pytest.raises(ValueError):
-        SlowdownInjector(fs, [Slowdown(mds=9, start_ms=0, end_ms=1, factor=2.0)])
+        FaultInjector(fs, FaultSchedule([Slowdown(mds=9, start_ms=0, end_ms=1, factor=2.0)]))
 
 
 def test_factor_window():
     built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=100)
     fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
-    inj = SlowdownInjector(fs, [Slowdown(mds=1, start_ms=10, end_ms=20, factor=3.0)])
-    assert inj.factor_for(1, 5.0) == 1.0
-    assert inj.factor_for(1, 15.0) == 3.0
-    assert inj.factor_for(1, 25.0) == 1.0
-    assert inj.factor_for(0, 15.0) == 1.0
+    inj = FaultInjector(fs, FaultSchedule([Slowdown(mds=1, start_ms=10, end_ms=20, factor=3.0)]))
+    assert inj.service_factor(1, 5.0) == 1.0
+    assert inj.service_factor(1, 15.0) == 3.0
+    assert inj.service_factor(1, 25.0) == 1.0
+    assert inj.service_factor(0, 15.0) == 1.0
 
 
-def test_late_injector_install_disengages_fastpath():
-    """An injector attached after construction must void the fast path.
+def test_late_injector_install_still_degrades_run():
+    """An injector attached after construction is honoured: clients read
+    their hooks when they start, so the slowdown lands on every op."""
 
-    ``OrigamiFS`` decides fast-path engagement in ``__init__`` while
-    ``fs.faults`` is still None; the inlined replay loop never consults a
-    later-installed injector, so installation has to clear the flag."""
-    built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=200)
-    fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
-    assert fs.fastpath_engaged, "eligible healthy config should engage"
-    with pytest.warns(DeprecationWarning):
-        SlowdownInjector(fs, [Slowdown(mds=0, start_ms=0, end_ms=1e9, factor=2.0)])
-    assert not fs.fastpath_engaged, "late fault install must force the general loop"
+    def build():
+        built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=2000)
+        cfg = SimConfig(n_mds=2, n_clients=8, epoch_ms=40.0, params=CostParams(cache_depth=2))
+        return OrigamiFS(built.tree, trace, CoarseHashPolicy(), cfg)
+
+    healthy = build()
+    assert healthy.fastpath_engaged
+    base = healthy.run()
+
+    fs = build()
+    FaultInjector(fs, FaultSchedule([
+        Slowdown(mds=m, start_ms=0.0, end_ms=1e9, factor=3.0) for m in range(2)
+    ]))
+    assert not fs.fastpath_engaged, "a late injector is a per-op hook"
+    slowed = fs.run()
+    assert slowed.ops_completed == base.ops_completed
+    assert slowed.throughput_ops_per_sec < base.throughput_ops_per_sec * 0.6
+    assert slowed.faults is not None
 
 
 def test_slowdown_degrades_static_partitioning():
@@ -100,42 +110,6 @@ def test_balancer_routes_around_degraded_mds():
     assert share_balanced < share_static
     # ...and the migrations must actually have happened
     assert balanced.migrations > 0
-
-
-# --------------------------------------------------------------- shim model
-
-
-def test_legacy_shim_warns_and_matches_schedule_path():
-    """SlowdownInjector must behave exactly like the schedule it wraps."""
-    slow = [Slowdown(mds=0, start_ms=20.0, end_ms=60.0, factor=3.0)]
-
-    def build(seed=3, n_ops=3000):
-        built, trace = generate_trace_rw(
-            SeedSequenceFactory(seed).stream("w"), n_ops=n_ops
-        )
-        cfg = SimConfig(
-            n_mds=3, n_clients=10, epoch_ms=40.0, params=CostParams(cache_depth=2)
-        )
-        return OrigamiFS(built.tree, trace, LunulePolicy(), cfg)
-
-    fs_legacy = build()
-    with pytest.warns(DeprecationWarning):
-        SlowdownInjector(fs_legacy, slow)
-    legacy = fs_legacy.run().to_dict()
-
-    fs_new = build()
-    FaultInjector(fs_new, FaultSchedule(slow))
-    new = fs_new.run().to_dict()
-    assert legacy == new
-
-
-def test_legacy_shim_refuses_double_install():
-    built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=100)
-    fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
-    FaultInjector(fs, FaultSchedule([]))
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(RuntimeError):
-            SlowdownInjector(fs, [Slowdown(mds=0, start_ms=0, end_ms=1, factor=2.0)])
 
 
 # ----------------------------------------------------------- schedule model
