@@ -266,6 +266,19 @@ def test_typed_failure_after_retry_budget():
     assert d["ops_completed"] + d["fault_failed_ops"] + d["vanished_ops"] == n_ops
 
 
+def test_failed_ops_includes_retry_exhaustion():
+    """``vanished_ops`` and ``fault_failed_ops`` are sub-counts of
+    ``failed_ops``: an op that runs out of fault retries is a failed op."""
+    sched = FaultSchedule(
+        [Crash(mds=0, start_ms=2.0, end_ms=math.inf)],
+        retry=RetryPolicy(max_attempts=2, backoff_base_ms=0.1, backoff_max_ms=0.2),
+    )
+    result, n_ops = run_scheduled(sched, epoch_ms=500.0)
+    assert result.fault_failed_ops > 0
+    assert result.failed_ops >= result.vanished_ops + result.fault_failed_ops
+    assert result.ops_completed + result.vanished_ops + result.fault_failed_ops == n_ops
+
+
 def test_empty_schedule_installs_cleanly():
     built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=300)
     cfg = SimConfig(n_mds=2, n_clients=4, seed=0, faults=FaultSchedule([]))
