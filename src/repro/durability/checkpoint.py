@@ -9,13 +9,13 @@ trace from where a previous segment stopped:
 * the **partition map** (dense owner array, restored via ``assign_bulk``);
 * every **RNG stream** the run has touched (``bit_generator.state`` of each
   stream in the run's :class:`~repro.sim.rng.SeedSequenceFactory` cache,
-  plus the latency recorder's reservoir RNG and the fault injector's
-  drop/backoff streams), so a resumed run draws the same random sequence an
-  uninterrupted run would;
+  plus the fault injector's drop/backoff streams), so a resumed run draws
+  the same random sequence an uninterrupted run would;
 * the **virtual clock** (restored with :meth:`Environment.warp` onto the
   empty calendar of a freshly built cluster) and the run counters
-  (cursor, completed/failed ops, RPCs, per-epoch metrics, latency
-  reservoir, cache counters).
+  (cursor, completed/failed ops, RPCs, per-epoch metrics, the latency log,
+  cache counters).  The latency log is carried whole, so the resumed run's
+  percentiles are exact over both segments.
 
 Per-MDS store contents come back one of two ways:
 
@@ -53,7 +53,7 @@ from repro.durability.errors import CheckpointError
 __all__ = ["SimCheckpoint", "Checkpointer", "CHECKPOINT_SCHEMA_VERSION"]
 
 #: bump when the checkpoint payload changes incompatibly
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: OrigamiFS counters snapshotted/restored verbatim
 _COUNTER_FIELDS = (
@@ -289,22 +289,10 @@ class SimCheckpoint:
                     f"cannot restore RNG stream {name!r}: {exc}"
                 ) from None
 
-        lat = self.latency
-        rec = fs.latency
         try:
-            samples = np.asarray(lat["reservoir"], dtype=np.float64)
-            n = min(samples.shape[0], rec._cap)
-            rec._res[:n] = samples[:n]
-            rec.count = int(lat["count"])
-            rec.total = float(lat["total"])
-            rec._rng.bit_generator.state = lat["rng"]
-            # absent in pre-block checkpoints: block draws are element-wise
-            # identical to scalar draws, so resuming with an empty queue from
-            # a scalar-era RNG state reproduces the same slot sequence
-            rec._slots = [int(s) for s in lat.get("pending_slots", [])]
-            rec._slot_i = 0
+            fs.latency.samples.extend(float(x) for x in self.latency["samples"])
         except (TypeError, ValueError, KeyError) as exc:
-            raise CheckpointError(f"cannot restore latency recorder: {exc}") from None
+            raise CheckpointError(f"cannot restore latency log: {exc}") from None
 
         cache = fs.cache
         cache.hits = int(self.cache.get("hits", 0))
@@ -369,17 +357,6 @@ class Checkpointer:
                 if backend is not None and not backend.closed:
                     s.store.sync()
 
-        rec = fs.latency
-        latency = {
-            "count": rec.count,
-            "total": rec.total,
-            "reservoir": rec._res[: min(rec.count, rec._cap)].tolist(),
-            "rng": rec._rng.bit_generator.state,
-            # the recorder pre-draws replacement slots in blocks, so the RNG
-            # stream runs ahead of consumption; the unconsumed tail must ride
-            # along or a restored run would skip those draws
-            "pending_slots": [int(s) for s in rec._slots[rec._slot_i :]],
-        }
         cache_state: Dict[str, Any] = {
             "hits": fs.cache.hits,
             "misses": fs.cache.misses,
@@ -415,7 +392,7 @@ class Checkpointer:
                 for name, stream in fs._ssf._cache.items()
             },
             fault_rng=fault_rng,
-            latency=latency,
+            latency={"samples": fs.latency.samples.tolist()},
             cache=cache_state,
             epochs=[e.to_dict() for e in fs.epochs],
         )

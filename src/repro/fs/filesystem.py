@@ -138,11 +138,6 @@ class OrigamiFS:
         self._net_rng = ssf.stream("network")
 
         self.obs = self.config.obs if self.config.obs is not None else NULL_OBS
-        #: live per-op metrics children (no-op singletons when metrics off)
-        self.m_ops = self.obs.registry.counter("client_ops_total", "metadata ops completed")
-        self.m_latency = self.obs.registry.histogram(
-            "client_latency_ms", "client-observed metadata latency (ms)"
-        )
 
         #: pool capacity: with an elastic pool the cluster is provisioned at
         #: ``autoscale.max_mds`` (servers + partition-map width) and members
@@ -218,7 +213,9 @@ class OrigamiFS:
             self.cache = NearRootCache(tree, self.params.cache_depth)
         self.stats = AccessStats(tree)
         self.migrator = Migrator(self, self.config.migration_cost_per_inode_ms)
-        self.latency = LatencyRecorder(seed=self.config.seed)
+        #: every op's client-observed latency, in record order (restored
+        #: runs carry the earlier segments' samples first)
+        self.latency = LatencyRecorder()
         self.datapath = (
             DataCluster(self.env, **self.config.datapath)
             if self.config.datapath is not None
@@ -265,6 +262,9 @@ class OrigamiFS:
             # counters, RNG streams, latency/cache state, and the clock warp —
             # before the injector below puts its timeline on the calendar
             restore_from.apply_runtime(self)
+        #: first latency sample of this run segment (the registry publishes
+        #: per segment, like every other counter a checkpoint does not carry)
+        self.latency_base = self.latency.count
 
         #: fault injector (installed last: it touches servers and cache)
         self.faults: Optional[FaultInjector] = None
@@ -338,6 +338,7 @@ class OrigamiFS:
     # ------------------------------------------------------------------ run
     def run(self) -> SimResult:
         driver = EpochDriver(self, self.policy, self.config.oracle_window_ops)
+        self.driver = driver  # Observability.finalize publishes its epoch count
         clients = [
             self.env.process(ClientWorker(self, w).run())
             for w in range(self.config.n_clients)

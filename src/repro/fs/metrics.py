@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cluster.imbalance import ImbalanceReport
+from repro.obs.registry import ordered_sum
 
 __all__ = ["EpochMetrics", "SimResult", "LatencyRecorder"]
 
@@ -45,58 +47,36 @@ class EpochMetrics:
 
 
 class LatencyRecorder:
-    """Streaming latency statistics without keeping every sample.
+    """Every client-observed op latency of a run, in record order.
 
-    Keeps a bounded reservoir for percentiles plus exact count/mean.
+    One packed float64 append per op (8 B/op).  Count, mean and percentiles
+    are exact; sums are taken in record order, and two logs merge by
+    concatenation (a checkpoint carries the log, a timeline window reads its
+    slice).
     """
 
-    #: reservoir slots drawn per RNG round-trip once the reservoir is full
-    _BLOCK = 4096
-
-    def __init__(self, reservoir: int = 20000, seed: int = 0):
-        self._res = np.empty(reservoir, dtype=np.float64)
-        self._cap = reservoir
-        self.count = 0
-        self.total = 0.0
-        self._rng = np.random.default_rng(seed)
-        self._randint = self._rng.integers  # bound-method hoist (hot path)
-        # pre-drawn replacement slots: numpy's bounded-integer draw consumes
-        # the bitstream identically element-wise whether called per scalar or
-        # with a vector of bounds, so drawing a block of slots for counts
-        # [c, c+B) yields exactly the per-sample sequence — at a fraction of
-        # the per-call cost
-        self._slots: list = []
-        self._slot_i = 0
+    def __init__(self) -> None:
+        self.samples = array("d")
 
     def record(self, latency_ms: float) -> None:
-        count = self.count
-        if count < self._cap:
-            self._res[count] = latency_ms
-        else:
-            i = self._slot_i
-            slots = self._slots
-            if i >= len(slots):
-                block = self._BLOCK
-                slots = self._slots = self._randint(
-                    0, np.arange(count + 1, count + 1 + block)
-                ).tolist()
-                i = 0
-            j = slots[i]
-            self._slot_i = i + 1
-            if j < self._cap:
-                self._res[j] = latency_ms
-        self.count = count + 1
-        self.total += latency_ms
+        self.samples.append(latency_ms)
+
+    @property
+    def count(self) -> int:
+        return len(self.samples)
+
+    def values(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Samples ``[start, stop)`` as a float64 array (a copy)."""
+        return np.frombuffer(self.samples[start:stop], dtype=np.float64)
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        return ordered_sum(self.values()) / self.count if self.samples else 0.0
 
     def percentile(self, q: float) -> float:
-        n = min(self.count, self._cap)
-        if n == 0:
+        if not self.samples:
             return 0.0
-        return float(np.percentile(self._res[:n], q))
+        return float(np.percentile(self.values(), q, overwrite_input=True))
 
 
 @dataclass

@@ -27,10 +27,6 @@ class Migrator:
         self.fs = fs
         self.cost_per_inode_ms = cost_per_inode_ms
         self.log = MigrationLog()
-        reg = fs.obs.registry
-        self._m_migrations = reg.counter("migrations_applied_total", "subtree moves applied")
-        self._m_inodes = reg.counter("migration_inodes_moved_total", "inodes relocated")
-        self._m_stale = reg.counter("migration_stale_total", "decisions dropped as stale")
 
     def apply(self, decisions: List[MigrationDecision], epoch: int) -> Generator:
         """Apply a batch of decisions; yields while charging migration time."""
@@ -42,7 +38,6 @@ class Migrator:
                 # the subtree moved (or vanished) since the policy looked;
                 # stale decisions are dropped, as in any async pipeline
                 fs.stale_decisions += 1
-                self._m_stale.inc()
                 continue
             liveness = getattr(fs, "liveness", None)
             if (
@@ -54,13 +49,10 @@ class Migrator:
                 # elastic pool — between planning and apply: the export
                 # cannot land, so authority stays where it is
                 fs.stale_decisions += 1
-                self._m_stale.inc()
                 continue
             if fs.use_kvstore:
                 self._move_records(d)
             rec = self.log.apply(fs.pmap, d, epoch=epoch)
-            self._m_migrations.inc()
-            self._m_inodes.inc(rec.inodes_moved)
             fs.obs.timeline.record_migration(d.src, d.dst, rec.inodes_moved)
             cost = rec.inodes_moved * self.cost_per_inode_ms
             if cost > 0:

@@ -6,9 +6,9 @@ locality shredding.  This package makes those components observable without
 perturbing the simulation:
 
 * :mod:`repro.obs.registry` — a label-aware :class:`MetricsRegistry`
-  (``Counter`` / ``Gauge`` / ``Histogram``) every simulated component
-  publishes into; a shared null implementation makes the disabled path a
-  single attribute load + no-op call.
+  (``Counter`` / ``Gauge`` / ``Histogram``) into which every simulated
+  component's totals are published once, at end of run; a shared null
+  implementation makes the disabled path free.
 * :mod:`repro.obs.tracing` — per-request :class:`Span` records decomposing
   client latency into queue wait, service time, network RTTs, and cache /
   kvstore activity, exported as JSONL.

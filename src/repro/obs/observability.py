@@ -81,10 +81,11 @@ class Observability:
         """Publish end-of-run state of every component into the registry.
 
         Called once by :meth:`OrigamiFS.run`; zero cost when metrics are off.
-        Per-op counters (ops, latency, RPCs) accumulate live; everything a
-        component already tracks internally (engine calendar, resource wait
-        stats, cache hits, LSM amplification) is published here so the hot
-        paths pay nothing for it.
+        Each value is read once from the total its component already keeps
+        (server busy/RPC/request totals, the latency log, fault and pool
+        counters, engine calendar, cache hits, LSM amplification), so the
+        hot paths pay nothing for an observed run.  The client families
+        cover this run segment's slice of the latency log.
         """
         # close the trailing timeline window before anything reads it
         self.timeline.finalize(fs.env.now)
@@ -100,14 +101,23 @@ class Observability:
             env.peak_queue_len
         )
         reg.gauge("engine_virtual_time_ms", "final virtual clock").set(env.now)
+        reg.counter("epochs_total", "epoch boundaries crossed").inc(fs.driver.boundaries)
+
+        latency = fs.latency.values(fs.latency_base)
+        reg.counter("client_ops_total", "metadata ops completed").inc(latency.size)
+        reg.histogram(
+            "client_latency_ms", "client-observed metadata latency (ms)"
+        ).labels().observe_many(latency)
 
         busy = reg.gauge("mds_busy_ms_total", "virtual ms each MDS spent servicing")
         rpcs = reg.gauge("mds_rpcs_total", "RPC messages handled per MDS")
         wait = reg.gauge("mds_queue_wait_ms_total", "total queue wait at each MDS")
         grants = reg.gauge("mds_queue_grants_total", "service slots granted per MDS")
         peakq = reg.gauge("mds_queue_peak_len", "peak service-queue length per MDS")
+        requests = reg.counter("mds_requests_total", "requests with this MDS as primary")
         for s in fs.servers:
             label = str(s.mds_id)
+            requests.labels(mds=label).inc(s.total_requests)
             busy.labels(mds=label).set(s.total_busy_ms)
             rpcs.labels(mds=label).set(s.total_rpcs)
             wait.labels(mds=label).set(s.resource.total_wait_time)

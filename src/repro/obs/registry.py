@@ -2,21 +2,25 @@
 
 The design mirrors the Prometheus client model at 1% of its surface:
 a registry owns named metric *families*; a family resolves a label set to a
-*child* holding the actual value.  Instruments are plain Python objects —
-hot paths grab a child once (``REQUESTS.labels(mds=3)``) and call ``inc`` /
-``observe`` on it, so per-event cost is one method call and one float add.
+*child* holding the actual value.  Instruments are plain Python objects: a
+component grabs a child once (``reg.histogram(...).labels(mds=3)``) and
+calls ``inc`` / ``set`` / ``observe`` on it.
 
-When observability is off, components hold the shared :data:`NULL_REGISTRY`
-whose families and children are no-op singletons; the disabled hot path is
-one attribute load plus an empty call, keeping DES overhead within noise
-(asserted by the parity/overhead tests).
+The simulator publishes each value once, at end of run
+(:meth:`~repro.obs.observability.Observability.finalize`), from the total
+its component already keeps; only per-event distributions no component
+totals (WAL group-commit sizes, recovery warm-ups) are observed live.  When
+observability is off, components hold the shared :data:`NULL_REGISTRY`
+whose families and children are no-op singletons.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -25,12 +29,22 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
+    "ordered_sum",
 ]
 
 #: default histogram buckets (ms scale — matches the cost model's units)
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
 )
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum: the bits a running ``+=`` produces
+    (``np.sum`` adds pairwise and can differ in the last bits).
+
+    Accumulates in place, so ``values`` is overwritten: pass a copy.
+    """
+    return float(np.cumsum(values, out=values)[-1]) if values.size else 0.0
 
 
 def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
@@ -94,6 +108,15 @@ class Histogram:
         self.count += 1
         self.sum += value
 
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each of ``values`` in order, vectorised: the same
+        bucket counts, and the same ``sum`` bits."""
+        slots = np.searchsorted(self.buckets, values, side="right")
+        for i, n in enumerate(np.bincount(slots, minlength=len(self.bucket_counts))):
+            self.bucket_counts[i] += int(n)
+        self.count += int(values.size)
+        self.sum = ordered_sum(np.concatenate(([self.sum], values)))
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -103,8 +126,9 @@ class Histogram:
 
         Classic Prometheus-style estimate: find the bucket holding the
         target rank and interpolate linearly inside it.  Exactness is
-        bounded by bucket granularity; the reservoir-sampled
-        ``LatencyRecorder`` stays the headline source of truth.
+        bounded by bucket granularity; for client latency the exact source
+        is the run's latency log (``OrigamiFS.latency``), which this
+        histogram is published from.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")

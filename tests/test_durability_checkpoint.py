@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.balancers import LunulePolicy
@@ -25,6 +26,14 @@ def _segmented_run(tmp_path, *, use_kvstore=False, data_dir=None, n_ops=1200, sp
     ck2 = SimCheckpoint.load(path)
     fs2 = Checkpointer().restore(ck2, trace, LunulePolicy(), SimConfig(**cfg))
     r2 = fs2.run()
+    # the latency log crosses the seam whole: one sample per issued op, and
+    # the resumed percentiles are exact over both segments
+    seg1 = fs1.latency.values()
+    assert fs2.latency.count == len(trace)
+    assert fs2.latency.values(0, seg1.size).tolist() == seg1.tolist()
+    both = np.concatenate([seg1, fs2.latency.values(seg1.size)])
+    assert r2.p50_latency_ms == np.percentile(both, 50)
+    assert r2.p99_latency_ms == np.percentile(both, 99)
     return r1, r2, ck2, trace
 
 
@@ -101,10 +110,12 @@ def test_load_rejects_tampered_payload(tmp_path):
 def test_load_rejects_wrong_version(tmp_path):
     path, _ = _saved_checkpoint(tmp_path)
     doc = json.load(open(path))
-    doc["v"] = CHECKPOINT_SCHEMA_VERSION + 1
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(CheckpointError):
-        SimCheckpoint.load(path)
+    # v1 carried a latency reservoir + its RNG state, not the latency log
+    for version in (1, CHECKPOINT_SCHEMA_VERSION + 1):
+        doc["v"] = version
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(CheckpointError):
+            SimCheckpoint.load(path)
 
 
 def test_load_rejects_garbage_and_missing(tmp_path):

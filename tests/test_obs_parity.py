@@ -215,6 +215,87 @@ def test_window_aggregates_sum_exactly_to_end_of_run_counters(tmp_path):
     assert r.timeline["windows"] == float(len(rows))
 
 
+#: every family a metrics-on run with faults, kvstore and an elastic pool
+#: publishes — each value once, read from the total its component keeps
+PUBLISHED_FAMILIES = {
+    "cache_hit_rate", "cache_hits_total", "cache_misses_total",
+    "client_latency_ms", "client_ops_total",
+    "elastic_cooldown_blocked", "elastic_drains_completed", "elastic_drains_started",
+    "elastic_mds_seconds", "elastic_pool_final", "elastic_pool_initial",
+    "elastic_pool_min", "elastic_pool_peak", "elastic_scale_outs",
+    "engine_events_total", "engine_peak_calendar_len", "engine_virtual_time_ms",
+    "epochs_total",
+    "faults_backoff_wait_ms", "faults_connection_refusals", "faults_crashes",
+    "faults_events_scheduled", "faults_failed_mds_down", "faults_failed_rpc_dropped",
+    "faults_failovers", "faults_ops_failed", "faults_ops_recovered",
+    "faults_ops_vanished_total", "faults_restarts", "faults_retries",
+    "faults_rpc_drops", "faults_rpc_timeouts", "faults_service_aborts",
+    "kv_wal_group_commit_size",
+    "kvstore_bytes_compacted", "kvstore_bytes_flushed", "kvstore_compactions",
+    "kvstore_deletes", "kvstore_flushes", "kvstore_fsyncs", "kvstore_gets",
+    "kvstore_puts", "kvstore_read_amplification", "kvstore_recoveries",
+    "kvstore_runs_probed", "kvstore_scans", "kvstore_wal_appends",
+    "kvstore_wal_bytes", "kvstore_write_amplification",
+    "mds_busy_ms_total", "mds_queue_grants_total", "mds_queue_peak_len",
+    "mds_queue_wait_ms_total", "mds_recovery_ms", "mds_requests_total",
+    "mds_rpcs_total",
+    "migration_inodes_total", "migration_stale_decisions_total", "migrations_total",
+}
+
+
+def test_registry_publishes_each_component_total_once():
+    from repro.fs.elastic import AutoscaleSpec
+    from repro.fs.faults import Crash, FaultSchedule, RetryPolicy, RpcDrop
+    from repro.fs.filesystem import OrigamiFS
+    from repro.obs.registry import Histogram
+
+    built, trace = _world(n_ops=3000)
+    obs = Observability(metrics=True)
+    faults = FaultSchedule(
+        [
+            Crash(mds=1, start_ms=20.0, end_ms=40.0, warmup_ms=5.0, warmup_factor=2.0),
+            RpcDrop(mds=0, start_ms=10.0, end_ms=60.0, probability=0.05),
+        ],
+        retry=RetryPolicy(max_attempts=2, backoff_base_ms=0.1, backoff_max_ms=0.2),
+    )
+    pool = AutoscaleSpec(
+        policy="threshold", min_mds=1, max_mds=4, warmup_ms=8.0, warmup_factor=2.0,
+        cooldown_epochs=0, scale_out_util=0.6, scale_in_util=0.2,
+    )
+    config = SimConfig(
+        n_mds=2, n_clients=20, epoch_ms=15.0, params=CostParams(cache_depth=2),
+        seed=0, obs=obs, use_kvstore=True, faults=faults, autoscale=pool,
+    )
+    fs = OrigamiFS(built.tree, trace, LunulePolicy(), config)
+    r = fs.run()
+    snap = obs.registry.snapshot()
+    assert set(snap) == PUBLISHED_FAMILIES
+
+    def values(name):
+        return {sr["labels"].get("mds"): sr["value"] for sr in snap[name]["series"]}
+
+    for family, attr in (
+        ("mds_requests_total", "total_requests"),
+        ("mds_rpcs_total", "total_rpcs"),
+        ("mds_busy_ms_total", "total_busy_ms"),
+    ):
+        assert values(family) == {str(s.mds_id): getattr(s, attr) for s in fs.servers}
+    assert values("client_ops_total") == {None: fs.latency.count} == {None: len(trace)}
+    assert r.fault_failed_ops > 0 and r.faults["crashes"] == 1.0
+    for name, value in r.faults.items():
+        assert values(f"faults_{name}") == {None: value}, name
+    assert values("faults_ops_vanished_total") == {None: fs.vanished_ops}
+    assert r.elastic["scale_outs"] > 0
+    for name, value in r.elastic.items():
+        assert values(f"elastic_{name}") == {None: value}, name
+
+    # the histogram published from the log == one observe() per op
+    expected = Histogram()
+    for latency in fs.latency.values().tolist():
+        expected.observe(latency)
+    assert values("client_latency_ms") == {None: expected.get()}
+
+
 def test_trace_sampling_keeps_every_nth_span(tmp_path):
     """--trace-sample N retention is by completion ordinal: deterministic,
     and the sampled file is an exact subsequence of the full trace."""

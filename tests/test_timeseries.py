@@ -1,15 +1,26 @@
 """Unit tests for the windowed timeline collector (no full simulation).
 
 The collector is duck-typed over ``fs``: these tests drive it unbound (no
-cluster at all) or against a tiny stub, so the window mechanics — roll-over,
-growth, latency sampling, trailing partials — are pinned independently of
-the simulator.  End-to-end exactness lives in ``test_obs_parity.py``.
+cluster at all, just a latency log) or against a tiny stub, so the window
+mechanics — roll-over, growth, per-window latency slices, trailing partials
+— are pinned independently of the simulator.  End-to-end exactness lives in
+``test_obs_parity.py``.
 """
 
+import numpy as np
 import pytest
 
+from repro.fs.metrics import LatencyRecorder
 from repro.obs import NULL_TIMELINE, TimelineCollector
-from repro.obs.timeseries import PER_MDS_COLUMNS, _imbalance
+from repro.obs.timeseries import PER_MDS_COLUMNS, _imbalance, _window_percentiles
+
+
+def _unbound(**kwargs):
+    """A collector reading window ops from a fresh latency log."""
+    tl = TimelineCollector(**kwargs)
+    log = LatencyRecorder()
+    tl.attach_latency(log)
+    return tl, log
 
 
 def test_constructor_validation():
@@ -18,17 +29,15 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         TimelineCollector(window_ms=-1.0)
     with pytest.raises(ValueError):
-        TimelineCollector(max_latency_samples=0)
-    with pytest.raises(ValueError):
         TimelineCollector(initial_windows=0)
 
 
 def test_unbound_collector_windows_ops_by_virtual_time():
-    tl = TimelineCollector(window_ms=10.0)
-    tl.record_op(1.0)
-    tl.record_op(3.0)
+    tl, log = _unbound(window_ms=10.0)
+    log.record(1.0)
+    log.record(3.0)
     tl.advance(10.0)  # closes window 0
-    tl.record_op(5.0)
+    log.record(5.0)
     tl.finalize(15.0)  # closes the partial window 1 at 15ms
 
     rows = tl.to_rows()
@@ -43,10 +52,10 @@ def test_unbound_collector_windows_ops_by_virtual_time():
 
 
 def test_idle_gap_closes_empty_windows():
-    tl = TimelineCollector(window_ms=10.0)
-    tl.record_op(1.0)
+    tl, log = _unbound(window_ms=10.0)
+    log.record(1.0)
     tl.advance(95.0)  # jump: windows 0..8 close, window 9 opens
-    tl.record_op(1.0)
+    log.record(1.0)
     tl.finalize(100.0)
     rows = tl.to_rows()
     assert len(rows) == 10
@@ -56,9 +65,9 @@ def test_idle_gap_closes_empty_windows():
 
 
 def test_window_array_growth_preserves_data():
-    tl = TimelineCollector(window_ms=1.0, initial_windows=2)
+    tl, log = _unbound(window_ms=1.0, initial_windows=2)
     for w in range(50):
-        tl.record_op(float(w))
+        log.record(float(w))
         tl.advance(w + 1.0)
     tl.finalize(50.0)
     rows = tl.to_rows()
@@ -67,24 +76,26 @@ def test_window_array_growth_preserves_data():
     assert [r["lat_mean_ms"] for r in rows] == [float(w) for w in range(50)]
 
 
-def test_latency_sample_cap_counts_overflow():
-    tl = TimelineCollector(window_ms=10.0, max_latency_samples=2)
-    for lat in (1.0, 2.0, 9.0, 9.0, 9.0):
-        tl.record_op(lat)
+def test_window_latency_uses_every_sample():
+    tl, log = _unbound(window_ms=10.0)
+    lats = [1.0, 2.0] + [9.0] * 3000  # past the old 2048-sample window cap
+    for lat in lats:
+        log.record(lat)
     tl.finalize(10.0)
     row = tl.to_rows()[0]
-    assert row["ops"] == 5
-    assert row["lat_samples"] == 2
-    assert row["lat_dropped"] == 3
-    # percentiles come from the deterministic first-N buffer only
-    assert row["p99_ms"] <= 2.0
-    # the mean is exact regardless of sampling
-    assert row["lat_mean_ms"] == pytest.approx(30.0 / 5)
+    assert row["ops"] == len(lats)
+    assert row["lat_samples"] == len(lats)
+    assert row["lat_dropped"] == 0
+    assert row["p99_ms"] == np.percentile(lats, 99) == 9.0
+    total = 0.0
+    for lat in lats:
+        total += lat
+    assert row["lat_mean_ms"] == total / len(lats)
 
 
 def test_finalize_is_idempotent_and_stops_advance():
-    tl = TimelineCollector(window_ms=10.0)
-    tl.record_op(1.0)
+    tl, log = _unbound(window_ms=10.0)
+    log.record(1.0)
     tl.finalize(5.0)
     n = tl.n_windows
     tl.finalize(5.0)
@@ -106,6 +117,7 @@ def test_double_bind_rejected():
         env = _Env()
         servers = ()
         cache = _Cache()
+        latency = LatencyRecorder()
 
     tl = TimelineCollector()
     tl.bind(_Fs())
@@ -121,7 +133,6 @@ def test_summary_of_empty_collector():
 def test_null_timeline_is_inert():
     assert not NULL_TIMELINE.enabled
     assert NULL_TIMELINE.window_end_ms == float("inf")
-    NULL_TIMELINE.record_op(1.0)
     NULL_TIMELINE.record_migration(0, 1, 5)
     NULL_TIMELINE.advance(1e9)
     NULL_TIMELINE.finalize(1e9)
@@ -139,3 +150,15 @@ def test_imbalance_factor_edge_cases():
     assert _imbalance(np.array([3.0])) == 0.0
     mid = _imbalance(np.array([4.0, 2.0, 0.0]))
     assert 0.0 < mid < 1.0
+
+
+def test_window_percentiles_bit_equal_numpy():
+    rng = np.random.default_rng(5)
+    for n in list(range(1, 40)) + [97, 256, 429, 3000]:
+        for xs in (
+            rng.exponential(1.0, n),
+            np.round(rng.uniform(0.0, 2.0, n), 2),  # ties
+            np.where(rng.random(n) < 0.3, 0.0, rng.lognormal(0.0, 2.0, n)),
+        ):
+            want = tuple(np.percentile(xs, (50.0, 95.0, 99.0)).tolist())
+            assert _window_percentiles(xs) == want, n
