@@ -53,7 +53,7 @@ from repro.durability.errors import CheckpointError
 __all__ = ["SimCheckpoint", "Checkpointer", "CHECKPOINT_SCHEMA_VERSION"]
 
 #: bump when the checkpoint payload changes incompatibly
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: OrigamiFS counters snapshotted/restored verbatim
 _COUNTER_FIELDS = (
@@ -152,7 +152,6 @@ class SimCheckpoint:
     now_ms: float
     cursor: int
     counters: Dict[str, Any]
-    created_files: List[int]
     owners: List[int]
     tree: Dict[str, Any]
     rng_streams: Dict[str, Any]
@@ -173,7 +172,6 @@ class SimCheckpoint:
             "now_ms": self.now_ms,
             "cursor": self.cursor,
             "counters": self.counters,
-            "created_files": self.created_files,
             "owners": self.owners,
             "tree": self.tree,
             "rng_streams": self.rng_streams,
@@ -196,7 +194,6 @@ class SimCheckpoint:
                 now_ms=float(payload["now_ms"]),
                 cursor=int(payload["cursor"]),
                 counters=dict(payload["counters"]),
-                created_files=[int(i) for i in payload["created_files"]],
                 owners=[int(o) for o in payload["owners"]],
                 tree=payload["tree"],
                 rng_streams=dict(payload["rng_streams"]),
@@ -267,7 +264,6 @@ class SimCheckpoint:
         for name in _COUNTER_FIELDS:
             if name in self.counters:
                 setattr(fs, name, self.counters[name])
-        fs.created_files = list(self.created_files)
         fs.epochs = [
             EpochMetrics(
                 epoch=int(e["epoch"]),
@@ -384,7 +380,6 @@ class Checkpointer:
             now_ms=env.now,
             cursor=fs.cursor,
             counters={name: getattr(fs, name) for name in _COUNTER_FIELDS},
-            created_files=list(fs.created_files),
             owners=[int(o) for o in fs.pmap.owner_array()],
             tree=_tree_state(fs.tree),
             rng_streams={

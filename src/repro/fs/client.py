@@ -18,7 +18,7 @@ is compiled once per ``(pmap.dir_version, tree.version)`` window into
 ``(server, svc_base, is_primary)`` steps, cached on the filesystem and
 shared by every client.  Everything a run may add on top — the fault gate
 and retries, span accounting, elastic warm-up, durability drains, kvstore
-calls, lease recalls, RTT jitter, the data path, think time — is a per-run
+calls, lease recalls, the data path, think time — is a per-run
 hook that the loop reads once when the client starts.  A run with none of
 them pays one local test per hook and holds each MDS inline, in the loop's
 own frame.
@@ -151,12 +151,11 @@ class ClientWorker:
         tree = fs.tree
         try:
             if op == _CREATE:
-                ino = tree.create_file(dir_ino, name)
+                tree.create_file(dir_ino, name)
                 if fs.use_kvstore:
                     fs.servers[fs.pmap.owner(dir_ino)].kv_put(
                         b"%020d/%s" % (dir_ino, name.encode()), b"inode", span
                     )
-                fs.created_files.append(ino)
             elif op == _UNLINK:
                 kids = tree.children(dir_ino)
                 ino = kids.get(name)
@@ -236,9 +235,7 @@ class ClientWorker:
         tracer = fs.obs.tracer if fs.obs.tracer.enabled else None
         hold_via_service = inj is not None or tracer is not None or fs.elastic is not None
         leases = None if cache.__class__ is NearRootCache else cache
-        rtt = fs._rtt_const
-        jitter = rtt is None
-        network_rtt = fs.network_rtt
+        rtt = params.rtt
         use_kvstore = fs.use_kvstore
         durable = fs.durability is not None
         datapath = fs.datapath
@@ -312,19 +309,15 @@ class ClientWorker:
                             span.cache_hits += n_hits
                             span.cache_misses += n_misses
                             span.primary = primary
-                        pserver.epoch_qps += 1
                         pserver.total_requests += 1
                         if is_lsdir:
                             steps = chain(steps, self._lsdir_steps(dir_ino))
                         for server, svc_base, is_primary in steps:
                             if inj is not None:
                                 yield from inj.rpc_gate(server.mds_id, span)
-                            server.epoch_rpcs += 1
                             server.total_rpcs += 1
                             my_rpcs += 1
                             # network round trip to this MDS
-                            if jitter:
-                                rtt = network_rtt()
                             if span is not None:
                                 span.net_ms += rtt
                                 span.rpcs += 1
@@ -366,7 +359,7 @@ class ClientWorker:
                             else:
                                 o = -1
                             if o >= 0 and o != primary:
-                                servers[o].count_rpc()
+                                servers[o].total_rpcs += 1
                                 my_rpcs += 1
                                 if span is not None:
                                     span.rpcs += 1

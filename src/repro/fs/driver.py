@@ -41,16 +41,36 @@ class EpochDriver:
         #: epoch boundaries this run's loop crossed (published at end of run
         #: as ``epochs_total``; the end-of-run partial flush is not one)
         self.boundaries = 0
+        #: server RPC and request totals at the last flush (every server's
+        #: totals start at zero with the cluster)
+        n = len(fs.servers)
+        self._prev_rpcs = np.zeros(n, dtype=np.int64)
+        self._prev_qps = np.zeros(n, dtype=np.int64)
+
+    def epoch_pending(self) -> bool:
+        """True when the open epoch saw busy time or a request."""
+        return any(
+            s.epoch_busy_ms > 0 or s.total_requests > prev
+            for s, prev in zip(self.fs.servers, self._prev_qps.tolist())
+        )
 
     def flush_epoch(self) -> EpochMetrics:
         """Drain counters into an EpochMetrics record (no balancing)."""
         fs = self.fs
-        n = len(fs.servers)
-        busy = np.zeros(n)
-        rpcs = np.zeros(n)
-        qps = np.zeros(n)
-        for i, server in enumerate(fs.servers):
-            busy[i], rpcs[i], qps[i] = server.drain_epoch()
+        servers = fs.servers
+        # busy time is drained, not differenced: its per-epoch sum from zero
+        # rounds differently from a difference of running float totals, and
+        # per_epoch.busy_ms is pinned bit for bit.  The integer counts are
+        # exact as differences of the servers' run totals.
+        busy = np.array([s.epoch_busy_ms for s in servers])
+        for s in servers:
+            s.epoch_busy_ms = 0.0
+        rpcs_total = np.array([s.total_rpcs for s in servers], dtype=np.int64)
+        qps_total = np.array([s.total_requests for s in servers], dtype=np.int64)
+        rpcs = (rpcs_total - self._prev_rpcs).astype(np.float64)
+        qps = (qps_total - self._prev_qps).astype(np.float64)
+        self._prev_rpcs = rpcs_total
+        self._prev_qps = qps_total
         now = fs.env.now
         em = EpochMetrics(
             epoch=self.epoch,

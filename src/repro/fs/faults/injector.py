@@ -65,7 +65,6 @@ class FaultInjector:
         self.aborted_in_service = 0
         self.retries = 0
         self.failovers = 0
-        self.ops_failed = 0
         self.ops_recovered = 0
         self.backoff_wait_ms = 0.0
         self.failed_by_reason: Dict[str, int] = {}
@@ -165,7 +164,7 @@ class FaultInjector:
             yield env.timeout(wait)
             raise RpcTimeoutError(mds, "partitioned")
         if not fs.servers[mds].up:
-            wait = fs.network_rtt()  # connection refused costs one round trip
+            wait = fs.params.rtt  # connection refused costs one round trip
             self.connection_refusals += 1
             if span is not None:
                 span.fault_wait_ms += wait
@@ -193,7 +192,6 @@ class FaultInjector:
         return wait
 
     def count_op_failed(self, exc: FaultError) -> None:
-        self.ops_failed += 1
         self.failed_by_reason[exc.reason] = self.failed_by_reason.get(exc.reason, 0) + 1
 
     # -------------------------------------------------------------- summary
@@ -209,7 +207,7 @@ class FaultInjector:
             "service_aborts": float(self.aborted_in_service),
             "retries": float(self.retries),
             "failovers": float(self.failovers),
-            "ops_failed": float(self.ops_failed),
+            "ops_failed": float(sum(self.failed_by_reason.values())),
             "ops_recovered": float(self.ops_recovered),
             "backoff_wait_ms": self.backoff_wait_ms,
         }

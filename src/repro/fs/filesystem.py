@@ -57,14 +57,10 @@ class SimConfig:
     #: store inodes in per-MDS LSM stores and move them on migration
     use_kvstore: bool = False
     migration_cost_per_inode_ms: float = 0.002
-    service_concurrency: int = 1
-    #: lognormal-ish RTT jitter fraction (0 = deterministic network)
-    rtt_jitter: float = 0.0
     #: client cache design: "near-root" (the paper's, driven by
     #: params.cache_depth), "lease" (full TTL-lease cache — the alternative
     #: the paper rejects; DES-only), or "none"
     cache_mode: str = "near-root"
-    lease_ttl_ms: float = 50.0
     lease_recall_cost_ms: float = 0.05
     #: how many upcoming ops the oracle policy may see
     oracle_window_ops: int = 5000
@@ -82,8 +78,6 @@ class SimConfig:
     #: setting it turns on use_kvstore and the durability cost model, and
     #: makes crash/restart pay real recovery work instead of fixed warm-up
     data_dir: Optional[str] = None
-    #: durability latency prices; defaulted when data_dir is set
-    durability: Optional[DurabilityCostModel] = None
     #: elastic-pool spec (repro.fs.elastic.AutoscaleSpec); None (the
     #: default) keeps the historical fixed pool, bit-identically.  When set,
     #: ``n_mds`` is the *initial* pool size and the cluster is provisioned
@@ -99,12 +93,8 @@ class SimConfig:
             raise ValueError("epoch_ms must be positive")
         if self.cache_mode not in ("near-root", "lease", "none"):
             raise ValueError(f"unknown cache_mode {self.cache_mode!r}")
-        if self.durability is not None and self.data_dir is None:
-            raise ValueError("durability cost model requires data_dir")
         if self.data_dir is not None:
             self.use_kvstore = True
-            if self.durability is None:
-                self.durability = DurabilityCostModel()
 
 
 class OrigamiFS:
@@ -135,7 +125,6 @@ class OrigamiFS:
         ssf = SeedSequenceFactory(self.config.seed)
         self._ssf = ssf  # retained so the Checkpointer can snapshot streams
         self.rng = ssf.stream("fs")
-        self._net_rng = ssf.stream("network")
 
         self.obs = self.config.obs if self.config.obs is not None else NULL_OBS
 
@@ -162,12 +151,14 @@ class OrigamiFS:
                     "directories across the whole pool and cannot drain"
                 )
         self.use_kvstore = self.config.use_kvstore
-        self.durability = self.config.durability
+        #: durability latency prices (None without durable stores)
+        self.durability = (
+            DurabilityCostModel() if self.config.data_dir is not None else None
+        )
         self.servers = [
             MdsServer(
                 self.env,
                 i,
-                service_concurrency=self.config.service_concurrency,
                 use_kvstore=self.use_kvstore,
                 registry=self.obs.registry,
                 data_dir=(
@@ -203,9 +194,7 @@ class OrigamiFS:
                     s.durability_ms_total = 0.0
         if self.config.cache_mode == "lease":
             self.cache = LeaseCache(
-                tree,
-                ttl_ms=self.config.lease_ttl_ms,
-                recall_cost_ms=self.config.lease_recall_cost_ms,
+                tree, recall_cost_ms=self.config.lease_recall_cost_ms
             )
         elif self.config.cache_mode == "none":
             self.cache = NearRootCache(tree, 0)
@@ -232,8 +221,6 @@ class OrigamiFS:
         #: per-op client think time (offered-load shaping); None — the
         #: overwhelmingly common case — keeps the client loop unchanged
         self._think = trace.think_ms.tolist() if trace.think_ms is not None else None
-        #: constant RTT when jitter is off (the default) — no RNG either way
-        self._rtt_const = self.params.rtt if self.config.rtt_jitter == 0 else None
         #: compiled client RPC schedules, keyed ``dir_ino << 1 | lsdir?`` and
         #: shared by every client; flushed whenever the stamp
         #: (pmap.dir_version, tree.version) moves — see
@@ -255,7 +242,6 @@ class OrigamiFS:
         self.data_ops_completed = 0
         #: virtual time of the most recent completed operation (run duration)
         self.last_completion_ms = 0.0
-        self.created_files: List[int] = []
         self.epochs: List = []
 
         if restore_from is not None:
@@ -300,7 +286,7 @@ class OrigamiFS:
         """True when the run uses no per-op hook of the client loop.
 
         That is: no faults, tracer, data path, kvstore or durability, a
-        near-root cache, constant RTT and a fixed pool (the windowed
+        near-root cache and a fixed pool (the windowed
         timeline is not a hook).  A report, not a switch — every run takes
         the same loop; this says whether it runs hook-free.  Derived on
         each read, so a fault injector installed after construction turns
@@ -313,19 +299,12 @@ class OrigamiFS:
             and not self.use_kvstore
             and self.durability is None
             and self.cache.__class__ is NearRootCache
-            and self._rtt_const is not None
             and self.elastic is None
         )
 
     def upcoming(self, n: int) -> Trace:
         """The next ``n`` not-yet-issued operations (oracle's view)."""
         return self.trace[self.cursor : self.cursor + n]
-
-    def network_rtt(self) -> float:
-        rtt = self.params.rtt
-        if self.config.rtt_jitter > 0:
-            rtt *= 1.0 + self.config.rtt_jitter * float(self._net_rng.exponential(1.0))
-        return rtt
 
     def cache_covers_depth(self, depth: int) -> bool:
         """Near-root coverage of the *target entry* (files are never leased)."""
@@ -361,7 +340,7 @@ class OrigamiFS:
         # duration = when the last operation completed (the driver's cancelled
         # epoch timeout may have dragged env.now further; ignore it)
         duration = self.last_completion_ms
-        if any(s.epoch_busy_ms > 0 or s.epoch_qps > 0 for s in self.servers):
+        if driver.epoch_pending():
             driver.flush_epoch()
         if self.config.data_dir is not None:
             # clean shutdown: sync WAL tails and release file handles before

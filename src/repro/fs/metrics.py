@@ -24,7 +24,8 @@ class EpochMetrics:
     duration_ms: float
     #: virtual ms each MDS spent servicing metadata work this epoch
     busy_ms: np.ndarray
-    #: requests whose primary MDS was this MDS
+    #: request attempts whose primary MDS was this MDS: an op retried under
+    #: faults counts once per attempt, so this exceeds completed ops then
     qps: np.ndarray
     #: RPC messages handled (resolution hops, gathers, forwards)
     rpcs: np.ndarray
@@ -202,6 +203,10 @@ class SimResult:
         has acted (§5.2); the first ``skip_fraction`` of epochs (the
         all-on-MDS-0 warmup for subtree strategies) is excluded.  The last
         (possibly partial) epoch is excluded too.
+
+        The numerator sums the epochs' ``qps``, which counts request
+        *attempts*: on a faulted run every retried attempt counts as one
+        more op, so the figure is inflated by the retry rate.
         """
         if len(self.per_epoch) <= 2:
             return self.throughput_ops_per_sec

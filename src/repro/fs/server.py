@@ -4,12 +4,12 @@ Each MDS is a single-server queue (capacity 1 — one metadata thread, the
 saturation regime of §5.2); queueing delay is emergent, which is what makes
 the DES results exhibit Eq. (1)'s ``Q_i`` term without modelling it.
 
-Busy time, RPC counts, and request counts accumulate per epoch and are
-drained by the epoch driver into :class:`~repro.fs.metrics.EpochMetrics`;
-their run totals are what the metrics registry publishes at end of run
-(labelled by MDS id).  When tracing is on, :meth:`service` decomposes each
-visit into queue wait vs. service time on the caller's
-:class:`~repro.obs.tracing.Span`.
+Busy time, RPC counts, and request counts accumulate as run totals, which
+the metrics registry publishes at end of run (labelled by MDS id).  The
+epoch driver turns them into :class:`~repro.fs.metrics.EpochMetrics`: it
+differences the integer counts and drains a per-epoch busy-time sum.
+When tracing is on, :meth:`service` decomposes each visit into queue wait
+vs. service time on the caller's :class:`~repro.obs.tracing.Span`.
 
 Crash semantics (active only when a :class:`~repro.fs.faults.FaultInjector`
 is attached): a crashed server aborts the request it was servicing, drains
@@ -22,8 +22,6 @@ straddles a crash+restart still observes the failure.
 from __future__ import annotations
 
 from typing import Generator, Optional
-
-import numpy as np
 
 from repro.fs.faults.errors import MdsCrashedError, MdsUnavailableError
 from repro.kvstore import LSMStore
@@ -40,7 +38,6 @@ class MdsServer:
         self,
         env: Environment,
         mds_id: int,
-        service_concurrency: int = 1,
         use_kvstore: bool = False,
         registry: Optional[MetricsRegistry] = None,
         data_dir: Optional[str] = None,
@@ -48,7 +45,7 @@ class MdsServer:
     ):
         self.env = env
         self.mds_id = mds_id
-        self.resource = Resource(env, capacity=service_concurrency)
+        self.resource = Resource(env, capacity=1)
         #: liveness + crash generation; only consulted when faults are attached
         self.up = True
         self.incarnation = 0
@@ -66,7 +63,6 @@ class MdsServer:
         self._pending_durability_ms = 0.0
         #: recovery report of the latest crash, consumed by restart()
         self._crash_recovery = None
-        self.last_recovery_ms = 0.0
         self.recovery_ms_total = 0.0
         if not use_kvstore:
             self.store: Optional[LSMStore] = None
@@ -76,10 +72,9 @@ class MdsServer:
             )
         else:
             self.store = LSMStore(memtable_limit=512)
-        # epoch-scoped counters (drained by the driver)
+        # busy time of the open epoch, drained by the driver.  Integer
+        # counts need no such copy: the driver differences their totals
         self.epoch_busy_ms = 0.0
-        self.epoch_rpcs = 0
-        self.epoch_qps = 0
         # run-scoped totals
         self.total_busy_ms = 0.0
         self.total_rpcs = 0
@@ -140,14 +135,9 @@ class MdsServer:
         if self.durability is not None and self._crash_recovery is not None:
             rec_ms = self.durability.recovery_cost_ms(self._crash_recovery)
             self._crash_recovery = None
-            self.last_recovery_ms = rec_ms
             self.recovery_ms_total += rec_ms
             self._m_recovery.observe(rec_ms)
         return rec_ms
-
-    def count_rpc(self, n: int = 1) -> None:
-        self.epoch_rpcs += n
-        self.total_rpcs += n
 
     def service(self, duration_ms: float, span=None) -> Generator:
         """Queue for the server thread, hold it for ``duration_ms``.
@@ -202,14 +192,6 @@ class MdsServer:
             self.total_busy_ms += duration_ms
         finally:
             resource.release(req)
-
-    def drain_epoch(self) -> tuple:
-        """Return and reset this epoch's (busy, rpcs, qps)."""
-        out = (self.epoch_busy_ms, self.epoch_rpcs, self.epoch_qps)
-        self.epoch_busy_ms = 0.0
-        self.epoch_rpcs = 0
-        self.epoch_qps = 0
-        return out
 
     # ------------------------------------------------------------- kv store
     def _accrue_durability(self, mutate, span) -> None:

@@ -182,7 +182,6 @@ def run_strategy(
     faults=None,
     obs=None,
     data_dir: Optional[str] = None,
-    durability=None,
     autoscale=None,
 ) -> SimResult:
     """One full DES run of a strategy on a workload.
@@ -205,7 +204,6 @@ def run_strategy(
         faults=faults,
         obs=obs,
         data_dir=data_dir,
-        durability=durability,
         autoscale=autoscale,
     )
     with PROFILER.phase(f"simulate:{name}"):
@@ -570,8 +568,7 @@ def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> R
             r = run_strategy(name, kind, scale, seed=seed)
             meta[name] = r.steady_state_throughput(0.4)
             rd = run_strategy(name, kind, scale, seed=seed, datapath=datapath)
-            dur_s = rd.duration_ms / 1000.0
-            e2e[name] = rd.data_ops_completed / dur_s if dur_s > 0 else 0.0
+            e2e[name] = rd.end_to_end_throughput
         second_best = max(v for k, v in meta.items() if k != "Origami")
         gain = meta["Origami"] / second_best
         meta_rows.append(

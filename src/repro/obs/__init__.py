@@ -45,7 +45,7 @@ from repro.obs.registry import (
 )
 from repro.obs.slo import SloError, SloObjective, SloReport, SloSpec, evaluate_slo
 from repro.obs.timeseries import NULL_TIMELINE, TimelineCollector
-from repro.obs.tracing import NULL_TRACER, JsonlTracer, Span, Tracer
+from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "AuditEntry",
@@ -53,7 +53,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JsonlTracer",
     "MetricsRegistry",
     "NULL_OBS",
     "NULL_REGISTRY",

@@ -12,7 +12,7 @@ from typing import Any, Dict, Optional
 from repro.obs.audit import BalancerAudit
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.timeseries import NULL_TIMELINE, TimelineCollector
-from repro.obs.tracing import NULL_TRACER, JsonlTracer, Tracer
+from repro.obs.tracing import NULL_TRACER, Tracer
 
 __all__ = ["Observability", "NULL_OBS"]
 
@@ -35,31 +35,18 @@ class Observability:
         metrics: bool = False,
         trace_path: Optional[str] = None,
         trace: bool = False,
-        trace_max_spans: Optional[int] = None,
         trace_sample: int = 1,
         audit: bool = False,
         timeline: bool = False,
         timeline_window_ms: float = 50.0,
-        tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
-        timeline_collector: Optional[TimelineCollector] = None,
     ):
-        if registry is not None:
-            self.registry = registry
-        else:
-            self.registry = MetricsRegistry(enabled=True) if metrics else NULL_REGISTRY
-        if tracer is not None:
-            self.tracer = tracer
-        elif trace or trace_path is not None:
-            self.tracer = JsonlTracer(
-                trace_path, max_spans=trace_max_spans, sample=trace_sample
-            )
+        self.registry = MetricsRegistry(enabled=True) if metrics else NULL_REGISTRY
+        if trace or trace_path is not None:
+            self.tracer = Tracer(trace_path, sample=trace_sample)
         else:
             self.tracer = NULL_TRACER
         self.audit: Optional[BalancerAudit] = BalancerAudit() if audit else None
-        if timeline_collector is not None:
-            self.timeline = timeline_collector
-        elif timeline:
+        if timeline:
             self.timeline = TimelineCollector(window_ms=timeline_window_ms)
         else:
             self.timeline = NULL_TIMELINE
@@ -175,7 +162,7 @@ class Observability:
         if self.tracer.enabled:
             snap["trace"] = {
                 "spans_dropped": self.tracer.dropped,
-                "path": getattr(self.tracer, "path", None),
+                "path": self.tracer.path,
             }
         if self.timeline.enabled:
             snap["timeline"] = self.timeline.summary()

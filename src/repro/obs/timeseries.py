@@ -79,6 +79,9 @@ CLUSTER_COLUMNS = (
 )
 
 
+#: window rows allocated up front; the column arrays double when full
+_INITIAL_WINDOWS = 256
+
 #: window latency quantiles, as fractions (``q / 100`` — the same division
 #: ``np.percentile`` performs)
 _QUANTILES = (50.0 / 100, 95.0 / 100, 99.0 / 100)
@@ -125,27 +128,20 @@ def _imbalance(loads: np.ndarray) -> float:
 class TimelineCollector:
     """Fixed-window telemetry sampler for one simulation run.
 
-    Construct, hand to :class:`~repro.obs.observability.Observability`
-    (or let it construct one via ``timeline=True``), and read the windows
-    back with :meth:`to_rows` / :meth:`summary` after the run.  ``bind``
-    is called by :class:`~repro.fs.filesystem.OrigamiFS` once the cluster
-    exists; until then only :meth:`attach_latency` and :meth:`advance` make
+    :class:`~repro.obs.observability.Observability` builds one for
+    ``timeline=True``; read the windows back with :meth:`to_rows` /
+    :meth:`summary` after the run.  ``bind`` is called by
+    :class:`~repro.fs.filesystem.OrigamiFS` once the cluster exists; until then only :meth:`attach_latency` and :meth:`advance` make
     sense (unit tests use a duck-typed fs or none).
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        window_ms: float = 50.0,
-        initial_windows: int = 256,
-    ):
+    def __init__(self, window_ms: float = 50.0):
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
-        if initial_windows < 1:
-            raise ValueError("initial_windows must be >= 1")
         self.window_ms = float(window_ms)
-        self._cap = int(initial_windows)
+        self._cap = _INITIAL_WINDOWS
         self._fs: Any = None
         self._n_mds = 0
         #: index of the first window (non-zero on warm restarts)
@@ -282,7 +278,7 @@ class TimelineCollector:
     def advance(self, now: float) -> None:
         """Close windows until ``now`` falls inside the open one.
 
-        Driven by ``Environment.step`` through the ``env.timeline`` hook; an
+        Driven by ``Environment.run`` through the ``env.timeline`` hook; an
         idle gap closes a run of empty windows (deltas land in the first)."""
         while now >= self.window_end_ms and not self._finalized:
             self._close(self.window_end_ms)

@@ -29,7 +29,7 @@ from typing import IO, Any, Dict, List, Optional
 
 from repro.costmodel.optypes import OpType
 
-__all__ = ["Span", "Tracer", "JsonlTracer", "NULL_TRACER", "SPAN_SCHEMA_VERSION"]
+__all__ = ["Span", "Tracer", "NULL_TRACER", "SPAN_SCHEMA_VERSION"]
 
 #: bump when span fields change incompatibly (consumers check this)
 #: v2: fault fields (fault_wait_ms, retries, failovers, fault reason)
@@ -137,34 +137,11 @@ class Span:
 
 
 class Tracer:
-    """Base tracer: collects finished spans in memory."""
+    """Collects finished spans: in memory, or streamed as JSON lines.
 
-    enabled = True
-
-    def __init__(self) -> None:
-        self.spans: List[Span] = []
-        self.dropped = 0
-
-    def start(self, op_index: int, op: int, worker: int, dir_ino: int, depth: int, now_ms: float) -> Span:
-        return Span(op_index, op, worker, dir_ino, depth, now_ms)
-
-    def finish(self, span: Span, now_ms: float) -> None:
-        span.end_ms = now_ms
-        self.spans.append(span)
-
-    def close(self) -> None:
-        pass
-
-    def __bool__(self) -> bool:
-        return self.enabled
-
-
-class JsonlTracer(Tracer):
-    """Tracer streaming each finished span as one JSON line.
-
-    ``path=None`` keeps spans in memory only (tests, ``repro report`` on a
-    live run).  ``max_spans`` bounds memory/disk for very long runs; spans
-    past the cap are counted in ``dropped`` rather than silently vanishing.
+    ``path=None`` keeps spans in :attr:`spans` (tests, ``repro report`` on a
+    live run); with a path each kept span is written as one JSON line and
+    nothing is retained.
 
     ``sample=N`` keeps every Nth finished span (ordinals 0, N, 2N, ...),
     deterministic by span *finish ordinal* — no RNG, so a sampled run stays
@@ -172,23 +149,20 @@ class JsonlTracer(Tracer):
     ``dropped``.  ``sample=1`` (the default) keeps everything.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        max_spans: Optional[int] = None,
-        retain: Optional[bool] = None,
-        sample: int = 1,
-    ):
-        super().__init__()
+    enabled = True
+
+    def __init__(self, path: Optional[str] = None, sample: int = 1):
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         self.path = path
-        self.max_spans = max_spans
         self.sample = int(sample)
-        self.retain = retain if retain is not None else path is None
+        self.spans: List[Span] = []
+        self.dropped = 0
         self._fh: Optional[IO[str]] = open(path, "w") if path else None
-        self._written = 0
         self._ordinal = 0
+
+    def start(self, op_index: int, op: int, worker: int, dir_ino: int, depth: int, now_ms: float) -> Span:
+        return Span(op_index, op, worker, dir_ino, depth, now_ms)
 
     def finish(self, span: Span, now_ms: float) -> None:
         span.end_ms = now_ms
@@ -196,21 +170,19 @@ class JsonlTracer(Tracer):
         self._ordinal = ordinal + 1
         if ordinal % self.sample:
             self.dropped += 1
-            return
-        if self.max_spans is not None and self._written >= self.max_spans:
-            self.dropped += 1
-            return
-        self._written += 1
-        if self._fh is not None:
+        elif self._fh is not None:
             self._fh.write(json.dumps(span.to_dict()))
             self._fh.write("\n")
-        if self.retain:
+        else:
             self.spans.append(span)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+    def __bool__(self) -> bool:
+        return self.enabled
 
 
 class _NullTracer(Tracer):

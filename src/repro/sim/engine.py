@@ -20,7 +20,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["Environment", "Event", "Timeout", "Interrupt", "StopSimulation"]
+__all__ = ["Environment", "Event", "Timeout", "Interrupt"]
 
 #: priority for ordinary events
 NORMAL = 1
@@ -40,17 +40,13 @@ class Interrupt(Exception):
     """Thrown into a process that another process interrupted.
 
     ``cause`` carries whatever the interrupter supplied.  The metadata
-    simulator uses interrupts to cancel in-flight client requests when a run
-    is truncated at a deadline.
+    simulator uses interrupts to cancel the epoch driver's and the fault
+    timeline's pending timeouts once the last client drains.
     """
 
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
-
-
-class StopSimulation(Exception):
-    """Raised internally to stop :meth:`Environment.run` at ``until``."""
 
 
 class Event:
@@ -127,13 +123,6 @@ class Event:
             env._peak_queue = len(queue)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome (used by condition events)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -202,35 +191,11 @@ class AllOf(Event):
             ev.callbacks.append(on_done)
 
 
-class AnyOf(Event):
-    """Fires when the first child event fires; value is that event's value."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        events = list(events)
-        if not events:
-            self.succeed(None)
-            return
-
-        def on_done(done: Event) -> None:
-            if self._triggered:
-                return
-            self.trigger(done)
-
-        for ev in events:
-            if ev._processed:
-                self.env._immediate(lambda e=ev: on_done(e))
-            else:
-                ev.callbacks.append(on_done)
-
-
 class Environment:
     """The event calendar plus factory helpers for events and processes."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list = []
         self._seq = 0
         self._event_count = 0
@@ -270,9 +235,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def process(self, generator) -> "Process":
         # late import (circular: process.py imports engine.py), cached in a
         # module global — spawning 10^5 clients pays the sys.modules lookup
@@ -300,24 +262,6 @@ class Environment:
         self._schedule(ev, URGENT, 0.0)
 
     # -- main loop ----------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one event. Raises IndexError if the calendar is empty."""
-        t, _key, event = heappop(self._queue)
-        self._now = t
-        tl = self.timeline
-        if tl is not None and t >= tl.window_end_ms:
-            tl.advance(t)
-        self._event_count += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not callbacks:
-            # A failed event nobody waited on would silently swallow the
-            # exception; surface it instead.
-            raise event._value
-
     def peek(self) -> float:
         """Time of the next event, or ``inf`` when the calendar is empty."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -336,21 +280,12 @@ class Environment:
             raise ValueError(f"warp target {to_time} lies in the past (now={self._now})")
         self._now = to_time
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the calendar drains or virtual time reaches ``until``.
-
-        When ``until`` is given, the clock is advanced exactly to ``until``
-        even if the last event fires earlier, so post-run statistics can
-        normalise by the intended horizon.
-        """
-        if until is not None:
-            until = float(until)
-            if until < self._now:
-                raise ValueError(f"until={until} lies in the past (now={self._now})")
-        # Inlined step(): one Python frame per event (not two) and local
-        # bindings for the queue and event counter.  ``count`` is flushed
-        # back before every timeline roll-over — window-close telemetry
-        # reads ``events_processed`` — and unconditionally on the way out.
+    def run(self) -> None:
+        """Run until the event calendar drains."""
+        # One Python frame per event and local bindings for the queue and
+        # event counter.  ``count`` is flushed back before every timeline
+        # roll-over — window-close telemetry reads ``events_processed`` —
+        # and unconditionally on the way out.
         queue = self._queue
         pop = heappop
         count = self._event_count
@@ -358,44 +293,20 @@ class Environment:
         # so it can be bound once outside the loop
         tl = self.timeline
         try:
-            if until is None:
-                while queue:
-                    t, _key, event = pop(queue)
-                    self._now = t
-                    if tl is not None and t >= tl.window_end_ms:
-                        self._event_count = count
-                        tl.advance(t)
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    elif not event._ok:
-                        raise event._value
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return
-                    t, _key, event = pop(queue)
-                    self._now = t
-                    if tl is not None and t >= tl.window_end_ms:
-                        self._event_count = count
-                        tl.advance(t)
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    elif not event._ok:
-                        raise event._value
-        except StopSimulation:
-            return
+            while queue:
+                t, _key, event = pop(queue)
+                self._now = t
+                if tl is not None and t >= tl.window_end_ms:
+                    self._event_count = count
+                    tl.advance(t)
+                count += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    for cb in callbacks:
+                        cb(event)
+                elif not event._ok:
+                    raise event._value
         finally:
             self._event_count = count
-        if until is not None:
-            self._now = until

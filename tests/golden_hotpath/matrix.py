@@ -22,8 +22,8 @@ to those builds in every deterministic output:
 * the traced ``healthy``/``faults``/``durability`` cells and
   ``bench_artifact`` — with the build that preceded the hot-path
   optimization of commit b9b3551 (which added them);
-* the ``untraced``, ``lease``, ``jitter``, ``datapath``, ``kvstore``,
-  ``elastic`` and ``netfaults`` cells — at commit 1ac5a47, before the
+* the ``untraced``, ``lease``, ``datapath``, ``kvstore``, ``elastic``
+  and ``netfaults`` cells — at commit 1ac5a47, before the
   general client loop was folded into the compiled-plan loop.  The
   untraced cells replay with the tracer off, so they pin the loop a
   healthy unobserved run takes.
@@ -64,7 +64,6 @@ CELLS = {
     "durability_rw_seed1": ("rw", 1, "durability"),
     "untraced_ro_seed0": ("ro", 0, "untraced"),
     "lease_rw_seed0": ("rw", 0, "lease"),
-    "jitter_rw_seed1": ("rw", 1, "jitter"),
     "datapath_wi_seed0": ("wi", 0, "datapath"),
     "kvstore_rw_seed0": ("rw", 0, "kvstore"),
     "elastic_rw_seed0": ("rw", 0, "elastic"),
@@ -72,7 +71,7 @@ CELLS = {
 }
 
 #: flavors replayed with the span tracer off (their spans hash is empty)
-UNTRACED_FLAVORS = ("untraced", "lease", "jitter", "datapath", "kvstore")
+UNTRACED_FLAVORS = ("untraced", "lease", "datapath", "kvstore")
 
 #: the dedicated bench-artifact cell (runs through repro.bench end to end)
 BENCH_CELL = "bench_artifact"
@@ -140,8 +139,6 @@ def _flavor_config(flavor: str, scratch: str) -> Dict[str, Any]:
         return {"data_dir": f"{scratch}/stores"}
     if flavor == "lease":
         return {"cache_mode": "lease"}
-    if flavor == "jitter":
-        return {"rtt_jitter": 0.2}
     if flavor == "datapath":
         return {"datapath": {"n_servers": 2}}
     if flavor == "kvstore":

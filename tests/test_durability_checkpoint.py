@@ -110,8 +110,9 @@ def test_load_rejects_tampered_payload(tmp_path):
 def test_load_rejects_wrong_version(tmp_path):
     path, _ = _saved_checkpoint(tmp_path)
     doc = json.load(open(path))
-    # v1 carried a latency reservoir + its RNG state, not the latency log
-    for version in (1, CHECKPOINT_SCHEMA_VERSION + 1):
+    # v1 carried a latency reservoir + its RNG state, not the latency log;
+    # v2 also carried the list of created files
+    for version in (1, 2, CHECKPOINT_SCHEMA_VERSION + 1):
         doc["v"] = version
         json.dump(doc, open(path, "w"))
         with pytest.raises(CheckpointError):

@@ -84,10 +84,9 @@ def test_crash_derives_recovery_from_actual_state(tmp_path):
 
 def test_span_identity_holds_with_durability(tmp_path):
     from repro.obs import Observability
-    from repro.obs.tracing import JsonlTracer
 
     built, trace = build_workload("rw", 1000, seed=2)
-    obs = Observability(tracer=JsonlTracer(None))
+    obs = Observability(trace=True)
     cfg = SimConfig(n_mds=3, seed=1, use_kvstore=True,
                     data_dir=str(tmp_path / "stores"), obs=obs)
     fs = OrigamiFS(built.tree, trace, LunulePolicy(), cfg)
@@ -107,10 +106,9 @@ def test_span_identity_holds_with_durability(tmp_path):
 def test_trace_report_surfaces_durability_rows(tmp_path):
     from repro.obs import Observability
     from repro.obs.report import decompose, render_trace_report
-    from repro.obs.tracing import JsonlTracer
 
     built, trace = build_workload("rw", 800, seed=6)
-    obs = Observability(tracer=JsonlTracer(None))
+    obs = Observability(trace=True)
     cfg = SimConfig(n_mds=2, seed=0, use_kvstore=True,
                     data_dir=str(tmp_path / "stores"), obs=obs)
     OrigamiFS(built.tree, trace, LunulePolicy(), cfg).run()

@@ -12,7 +12,7 @@ single deterministic output bit.  This suite proves that along three axes:
    current build and demands byte-identity of the full ``SimResult``,
    every finished span, every timeline window, and (one cell) a whole bench
    artifact — across seeds × workloads × {healthy, untraced, faults,
-   network faults, durability, kvstore, lease, jitter, datapath, elastic}.
+   network faults, durability, kvstore, lease, datapath, elastic}.
 
 2. **Property tests** (hypothesis) — for *random* seeds and configurations
    the suite never saw at capture time, two fresh runs in the same process
@@ -235,7 +235,6 @@ def _hook_config(hook: str, tmp_path) -> dict:
         "kvstore": {"use_kvstore": True},
         "durability": {"data_dir": str(tmp_path / "stores")},
         "lease": {"cache_mode": "lease"},
-        "jitter": {"rtt_jitter": 0.1},
         "elastic": {"autoscale": AutoscaleSpec(min_mds=1, max_mds=4)},
     }[hook]
 
@@ -243,7 +242,7 @@ def _hook_config(hook: str, tmp_path) -> dict:
 @pytest.mark.parametrize(
     "hook",
     ["none", "faults", "tracer", "datapath", "kvstore", "durability", "lease",
-     "jitter", "elastic", "late-injector"],
+     "elastic", "late-injector"],
 )
 def test_fastpath_engaged_reports_hooks(hook, tmp_path):
     """``fs.fastpath_engaged`` reads True exactly when the run uses no

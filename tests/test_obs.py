@@ -10,7 +10,6 @@ from repro.obs import (
     NULL_REGISTRY,
     NULL_TRACER,
     BalancerAudit,
-    JsonlTracer,
     MetricsRegistry,
     Observability,
     PhaseProfiler,
@@ -127,7 +126,7 @@ def test_span_dict_schema():
 
 def test_jsonl_tracer_streams_lines(tmp_path):
     path = tmp_path / "t.jsonl"
-    t = JsonlTracer(str(path))
+    t = Tracer(str(path))
     for i in range(3):
         s, end = _make_span(i)
         t.finish(s, end)
@@ -135,19 +134,8 @@ def test_jsonl_tracer_streams_lines(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert [json.loads(l)["op_index"] for l in lines] == [0, 1, 2]
-    # streaming tracers do not retain spans in memory by default
+    # a streaming tracer does not retain spans in memory
     assert t.spans == []
-
-
-def test_jsonl_tracer_max_spans_counts_dropped(tmp_path):
-    path = tmp_path / "t.jsonl"
-    t = JsonlTracer(str(path), max_spans=2)
-    for i in range(5):
-        s, end = _make_span(i)
-        t.finish(s, end)
-    t.close()
-    assert len(path.read_text().splitlines()) == 2
-    assert t.dropped == 3
 
 
 def test_null_tracer_is_falsy_and_refuses_spans():
@@ -400,4 +388,4 @@ def test_histogram_percentile_and_serialized_quantiles():
 
 def test_jsonl_tracer_rejects_bad_sample(tmp_path):
     with pytest.raises(ValueError, match="sample must be >= 1"):
-        JsonlTracer(str(tmp_path / "t.jsonl"), sample=0)
+        Tracer(str(tmp_path / "t.jsonl"), sample=0)

@@ -10,7 +10,7 @@ import pytest
 from repro.balancers import LunulePolicy
 from repro.costmodel import CostParams
 from repro.fs import SimConfig, run_simulation
-from repro.obs import JsonlTracer, Observability
+from repro.obs import Observability
 from repro.sim import SeedSequenceFactory
 from repro.workloads import generate_trace_rw
 
@@ -91,13 +91,23 @@ def test_audit_resolves_every_non_final_migration():
 
 
 def test_jsonl_streaming_matches_in_memory(tmp_path):
-    path = tmp_path / "spans.jsonl"
+    import json
+
     built, trace = _world(seed=2)
-    obs = Observability(tracer=JsonlTracer(str(path), retain=True))
-    r = run_simulation(built.tree, trace, LunulePolicy(), _config(obs=obs))
-    obs.close()
+    in_memory = Observability(trace=True)
+    run_simulation(built.tree, trace, LunulePolicy(), _config(obs=in_memory))
+
+    path = tmp_path / "spans.jsonl"
+    built2, trace2 = _world(seed=2)
+    streamed = Observability(trace_path=str(path))
+    r = run_simulation(built2.tree, trace2, LunulePolicy(), _config(obs=streamed))
+    streamed.close()
     lines = path.read_text().splitlines()
-    assert len(lines) == len(obs.tracer.spans) == r.ops_completed
+    assert streamed.tracer.spans == []
+    assert len(lines) == len(in_memory.tracer.spans) == r.ops_completed
+    assert [json.loads(line) for line in lines] == [
+        s.to_dict() for s in in_memory.tracer.spans
+    ]
 
 
 def test_timeline_and_slo_do_not_perturb_the_run():
@@ -282,6 +292,16 @@ def test_registry_publishes_each_component_total_once():
         assert values(family) == {str(s.mds_id): getattr(s, attr) for s in fs.servers}
     assert values("client_ops_total") == {None: fs.latency.count} == {None: len(trace)}
     assert r.fault_failed_ops > 0 and r.faults["crashes"] == 1.0
+    # per-epoch counts are differences of the server totals: they sum back
+    # to them exactly, and the RPC total agrees with the clients' own count
+    assert sum(e.rpcs.sum() for e in r.per_epoch) == sum(
+        s.total_rpcs for s in fs.servers
+    ) == r.total_rpcs
+    assert sum(e.qps.sum() for e in r.per_epoch) == sum(
+        s.total_requests for s in fs.servers
+    )
+    failed_by_reason = sum(v for k, v in r.faults.items() if k.startswith("failed_"))
+    assert r.faults["ops_failed"] == failed_by_reason == r.fault_failed_ops
     for name, value in r.faults.items():
         assert values(f"faults_{name}") == {None: value}, name
     assert values("faults_ops_vanished_total") == {None: fs.vanished_ops}
@@ -305,12 +325,12 @@ def test_trace_sampling_keeps_every_nth_span(tmp_path):
     sampled_path = tmp_path / "sampled.jsonl"
 
     built, trace = _world(seed=6, n_ops=3000)
-    obs_full = Observability(tracer=JsonlTracer(str(full_path)))
+    obs_full = Observability(trace_path=str(full_path))
     run_simulation(built.tree, trace, LunulePolicy(), _config(obs=obs_full))
     obs_full.close()
 
     built2, trace2 = _world(seed=6, n_ops=3000)
-    obs_sampled = Observability(tracer=JsonlTracer(str(sampled_path), sample=7))
+    obs_sampled = Observability(trace_path=str(sampled_path), trace_sample=7)
     r = run_simulation(built2.tree, trace2, LunulePolicy(), _config(obs=obs_sampled))
     obs_sampled.close()
 

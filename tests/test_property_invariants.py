@@ -304,12 +304,11 @@ def _run_faulty(schedule, seed):
     from repro.costmodel import CostParams
     from repro.fs import SimConfig, run_simulation
     from repro.obs import Observability
-    from repro.obs.tracing import JsonlTracer
     from repro.sim import SeedSequenceFactory
     from repro.workloads import generate_trace_rw
 
     built, trace = generate_trace_rw(SeedSequenceFactory(seed).stream("w"), n_ops=500)
-    obs = Observability(tracer=JsonlTracer(None))
+    obs = Observability(trace=True)
     cfg = SimConfig(
         n_mds=_N_MDS,
         n_clients=6,

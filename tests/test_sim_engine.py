@@ -54,25 +54,6 @@ def test_same_time_events_fifo_order():
     assert order == list(range(10))
 
 
-def test_run_until_stops_clock_exactly():
-    env = Environment()
-
-    def proc():
-        while True:
-            yield env.timeout(10.0)
-
-    env.process(proc())
-    env.run(until=35.0)
-    assert env.now == 35.0
-
-
-def test_run_until_past_raises():
-    env = Environment()
-    env.run(until=0.0)
-    with pytest.raises(ValueError):
-        env.run(until=-1.0)
-
-
 def test_event_succeed_wakes_waiter():
     env = Environment()
     ev = env.event()
@@ -185,24 +166,6 @@ def test_all_of_collects_values():
     env.process(parent())
     env.run()
     assert results == [([4.0, 2.0, 6.0], 6.0)]
-
-
-def test_any_of_returns_first():
-    env = Environment()
-    results = []
-
-    def child(n):
-        yield env.timeout(n)
-        return n
-
-    def parent():
-        kids = [env.process(child(n)) for n in (4.0, 2.0, 6.0)]
-        v = yield env.any_of(kids)
-        results.append((v, env.now))
-
-    env.process(parent())
-    env.run()
-    assert results == [(2.0, 2.0)]
 
 
 def test_all_of_empty_fires_immediately():

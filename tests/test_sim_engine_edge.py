@@ -136,21 +136,3 @@ def test_chained_immediate_events_terminate():
     env.process(proc())
     env.run()
     assert done == [True]
-
-
-def test_run_until_between_events():
-    env = Environment()
-    seen = []
-
-    def proc():
-        yield env.timeout(10.0)
-        seen.append(env.now)
-        yield env.timeout(10.0)
-        seen.append(env.now)
-
-    env.process(proc())
-    env.run(until=15.0)
-    assert seen == [10.0]
-    assert env.now == 15.0
-    env.run()  # resume to completion
-    assert seen == [10.0, 20.0]
