@@ -213,20 +213,18 @@ def build_web_tree(
             dirs.append(cur)
             made += 1
 
-    # Phase 2: heavy-tailed attachment for the remaining directories.
-    i = 0
-    while made < n_dirs - 1:
-        w = rng.zipf_weights(len(dirs), fanout_tail)
-        parent = dirs[int(rng.choice(len(dirs), p=w))]
-        d = tree.create_dir(parent, f"p{i}")
-        dirs.append(d)
-        made += 1
-        i += 1
+    # Phase 2: heavy-tailed attachment for the remaining directories; the
+    # i-th new directory's parent is a Zipf pick over the len(dirs) made
+    # before it.
+    picks = rng.zipf_choices_growing(len(dirs), max(0, n_dirs - 1 - made), fanout_tail)
+    for i, k in enumerate(picks.tolist()):
+        dirs.append(tree.create_dir(dirs[k], f"p{i}"))
 
     n_files = rng.generator.poisson(files_per_dir_mean, size=len(dirs))
-    for d, nf in zip(dirs, n_files):
-        for j in range(int(nf)):
-            tree.create_file(d, f"page{j}.html", size=int(rng.integers(1024, 1 << 20)))
+    sizes = iter(rng.integers(1024, 1 << 20, size=int(n_files.sum())).tolist())
+    for d, nf in zip(dirs, n_files.tolist()):
+        for j in range(nf):
+            tree.create_file(d, f"page{j}.html", size=next(sizes))
 
     # Read popularity will be Zipf over directories sorted by ino (builder
     # order), so earlier (shallower, near-root-chained) dirs are hotter.

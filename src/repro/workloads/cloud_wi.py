@@ -52,7 +52,8 @@ def generate_trace_wi(
     per_seg = max(1, n_ops // segments)
     for seg in range(segments):
         day = seg % days
-        budget = per_seg if seg < segments - 1 else n_ops - len(tb)
+        left = n_ops - len(tb)
+        budget = min(per_seg, left) if seg < segments - 1 else left
         while budget > 0:
             t = int(tenants.sample(1)[0])
             todays = tenant_shards[t][day * 4 : day * 4 + 4]

@@ -8,9 +8,11 @@ over randomized seeds and stream names.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import rng as rng_module
 from repro.sim.rng import RngStream, SeedSequenceFactory, _stable_key
 
 #: printable stream names like the codebase uses ("workload-rw", "jitter-3")
@@ -96,6 +98,75 @@ def test_zipf_weights_are_a_distribution(seed, name, n, alpha):
     assert w.shape == (n,)
     assert abs(float(w.sum()) - 1.0) < 1e-12
     assert all(w[i] >= w[i + 1] for i in range(n - 1))
+
+
+def _choice_loop(stream, n0, count, alpha):
+    """The per-item reference ``zipf_choices_growing`` must reproduce."""
+    return [
+        int(stream.choice(n0 + i, p=stream.zipf_weights(n0 + i, alpha)))
+        for i in range(count)
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, n0=st.integers(min_value=1, max_value=60),
+       count=st.integers(min_value=0, max_value=300),
+       alpha=st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
+def test_zipf_choices_growing_matches_per_item_choice(seed, n0, count, alpha):
+    """One bulk draw returns, pick for pick, what ``count`` successive
+    ``choice(n0 + i, p=zipf_weights(n0 + i))`` calls return, and leaves the
+    generator in the same state."""
+    bulk = SeedSequenceFactory(seed).stream("g")
+    loop = SeedSequenceFactory(seed).stream("g")
+    got = bulk.zipf_choices_growing(n0, count, alpha)
+    assert got.tolist() == _choice_loop(loop, n0, count, alpha)
+    assert bulk.generator.bit_generator.state == loop.generator.bit_generator.state
+
+
+def test_zipf_choices_growing_tie_fallback_matches_choice(monkeypatch):
+    """With the tie tolerance at infinity every pick takes the numpy-way
+    fallback; it must still match ``choice`` draw for draw."""
+    monkeypatch.setattr(rng_module, "_ZIPF_TIE_RTOL", float("inf"))
+    for seed, n0, count, alpha in ((0, 6, 400, 1.4), (3, 1, 50, 0.0), (9, 40, 200, 2.5)):
+        bulk = SeedSequenceFactory(seed).stream("g")
+        loop = SeedSequenceFactory(seed).stream("g")
+        got = bulk.zipf_choices_growing(n0, count, alpha)
+        assert got.tolist() == _choice_loop(loop, n0, count, alpha)
+        assert bulk.generator.bit_generator.state == loop.generator.bit_generator.state
+
+
+# The bulk generators rest on numpy drawing the same words in bulk as in a
+# scalar loop.  These pin that contract by name, so a numpy upgrade that
+# breaks it fails here rather than only as a golden-hash mismatch.
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 101])
+def test_bounded_integers_bulk_matches_scalar_loop(n):
+    bulk = np.random.default_rng(11)
+    loop = np.random.default_rng(11)
+    got = bulk.integers(1024, 1 << 20, size=n)
+    assert got.tolist() == [int(loop.integers(1024, 1 << 20)) for _ in range(n)]
+    # odd n leaves half a 64-bit word buffered: has_uint32 and uinteger too
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 64])
+def test_broadcast_highs_match_scalar_loop(n):
+    highs = np.random.default_rng(5).integers(1, 40, size=n)
+    bulk = np.random.default_rng(13)
+    loop = np.random.default_rng(13)
+    got = bulk.integers(0, highs)
+    assert got.tolist() == [int(loop.integers(0, int(h))) for h in highs]
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 64])
+def test_random_bulk_matches_scalar_loop(n):
+    bulk = np.random.default_rng(17)
+    loop = np.random.default_rng(17)
+    # an odd bounded draw first, so a buffered half word is in play
+    bulk.integers(0, 10)
+    loop.integers(0, 10)
+    assert bulk.random(n).tolist() == [loop.random() for _ in range(n)]
+    assert bulk.bit_generator.state == loop.bit_generator.state
 
 
 def test_stream_type_round_trip():

@@ -195,6 +195,17 @@ def test_trace_wi_write_intensive_and_drifting():
     assert np.bincount(first).argmax() != np.bincount(last).argmax()
 
 
+@pytest.mark.parametrize("n_ops", [1, 3, 7, 9, 10, 11, 2000])
+@pytest.mark.parametrize(
+    "generate", [generate_trace_ro, generate_trace_wi, generate_trace_rw],
+    ids=["ro", "wi", "rw"],
+)
+def test_generators_return_exactly_n_ops(generate, n_ops):
+    """Fewer ops than segments still yields exactly ``n_ops`` ops."""
+    _, tr = generate(stream(), n_ops=n_ops)
+    assert len(tr) == n_ops
+
+
 def test_generators_deterministic():
     _, t1 = generate_trace_rw(stream(seed=5), n_ops=3000)
     _, t2 = generate_trace_rw(stream(seed=5), n_ops=3000)
