@@ -26,7 +26,13 @@ to those builds in every deterministic output:
   and ``netfaults`` cells — at commit 1ac5a47, before the
   general client loop was folded into the compiled-plan loop.  The
   untraced cells replay with the tracer off, so they pin the loop a
-  healthy unobserved run takes.
+  healthy unobserved run takes;
+* the ``origami`` and ``fhash`` cells — at commit 7a97d81, before the
+  lsdir fan-out cache was re-keyed and GBDT predict learned to skip
+  repeated rows.  Every other cell runs Lunule; these two pin the trained
+  Origami policy (model predict every epoch) and F-Hash (file inodes
+  sharded apart from their directory, the other branch of the lsdir
+  cache).  Both replay untraced, the route the benchmark takes.
 
 Fixtures are never re-captured to make a change pass.
 """
@@ -68,10 +74,19 @@ CELLS = {
     "kvstore_rw_seed0": ("rw", 0, "kvstore"),
     "elastic_rw_seed0": ("rw", 0, "elastic"),
     "netfaults_rw_seed0": ("rw", 0, "netfaults"),
+    "origami_wi_seed0": ("wi", 0, "origami"),
+    "fhash_wi_seed0": ("wi", 0, "fhash"),
 }
 
 #: flavors replayed with the span tracer off (their spans hash is empty)
-UNTRACED_FLAVORS = ("untraced", "lease", "datapath", "kvstore")
+UNTRACED_FLAVORS = ("untraced", "lease", "datapath", "kvstore", "origami", "fhash")
+
+#: Origami cell's model: trained on its own small Trace-WI (a different seed
+#: from the replayed one), small enough to fit in about a second
+ORIGAMI_TRAIN_OPS = 6000
+ORIGAMI_TRAIN_SEED = 7
+ORIGAMI_TRAIN_EPOCH_OPS = 600
+ORIGAMI_GBDT_ROUNDS = 20
 
 #: the dedicated bench-artifact cell (runs through repro.bench end to end)
 BENCH_CELL = "bench_artifact"
@@ -146,12 +161,35 @@ def _flavor_config(flavor: str, scratch: str) -> Dict[str, Any]:
     if flavor == "elastic":
         # short epochs so the pool has several decision points to scale at
         return {"n_mds": N_MDS - 1, "epoch_ms": EPOCH_MS / 4.0, "autoscale": elastic_spec()}
+    if flavor == "origami":
+        # short epochs: the model predicts once per epoch, and repeat calls
+        # are what its memo serves
+        return {"epoch_ms": EPOCH_MS / 6.0}
     return {}
+
+
+def _policy(flavor: str):
+    """The balancer a flavor runs (Lunule unless the flavor names one)."""
+    from repro.balancers import FineHashPolicy, LunulePolicy, OrigamiPolicy
+    from repro.costmodel import CostParams
+    from repro.harness.experiments import build_workload
+    from repro.training import collect_training_data, train_origami_model
+
+    if flavor == "fhash":
+        return FineHashPolicy()
+    if flavor != "origami":
+        return LunulePolicy()
+    built, trace = build_workload("wi", ORIGAMI_TRAIN_OPS, ORIGAMI_TRAIN_SEED)
+    dataset, _ = collect_training_data(
+        built.tree, trace, n_mds=N_MDS, params=CostParams(cache_depth=CACHE_DEPTH),
+        delta=50.0, ops_per_epoch=ORIGAMI_TRAIN_EPOCH_OPS,
+    )
+    model = train_origami_model(dataset, n_estimators=ORIGAMI_GBDT_ROUNDS)
+    return OrigamiPolicy(model, max_moves_per_epoch=8, cooldown_epochs=2)
 
 
 def run_cell(name: str) -> Dict[str, Any]:
     """Execute one matrix cell and reduce it to its comparable form."""
-    from repro.balancers import LunulePolicy
     from repro.costmodel import CostParams
     from repro.fs import SimConfig, run_simulation
     from repro.harness.experiments import build_workload
@@ -176,7 +214,7 @@ def run_cell(name: str) -> Dict[str, Any]:
         }
         shape.update(_flavor_config(flavor, scratch))
         config = SimConfig(**shape)
-        result = run_simulation(built.tree, trace, LunulePolicy(), config)
+        result = run_simulation(built.tree, trace, _policy(flavor), config)
 
     result_dict = result.to_dict()
     for key in VOLATILE_RESULT_KEYS:

@@ -12,7 +12,8 @@ single deterministic output bit.  This suite proves that along three axes:
    current build and demands byte-identity of the full ``SimResult``,
    every finished span, every timeline window, and (one cell) a whole bench
    artifact — across seeds × workloads × {healthy, untraced, faults,
-   network faults, durability, kvstore, lease, datapath, elastic}.
+   network faults, durability, kvstore, lease, datapath, elastic} under
+   Lunule, plus one trained-Origami and one F-Hash cell.
 
 2. **Property tests** (hypothesis) — for *random* seeds and configurations
    the suite never saw at capture time, two fresh runs in the same process
