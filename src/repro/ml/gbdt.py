@@ -19,6 +19,10 @@ from repro.ml.tree import Binner, RegressionTree, apply_binned
 
 __all__ = ["GBDTRegressor"]
 
+#: bytes in a packed predict key: one per binned feature
+_KEY_BYTES = 8
+_EMPTY_MEMO = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
+
 
 class GBDTRegressor:
     """Boosted histogram trees for regression."""
@@ -57,6 +61,9 @@ class GBDTRegressor:
         #: with the shrinkage pre-folded into the leaf values (lazily built,
         #: dropped on refit)
         self._forest_: Optional[List[Tuple[np.ndarray, ...]]] = None
+        #: sorted packed binned-row keys and their predictions, for the
+        #: current forest (see ``predict``)
+        self._memo_: Tuple[np.ndarray, np.ndarray] = _EMPTY_MEMO
 
     @property
     def n_features_(self) -> int:
@@ -76,6 +83,7 @@ class GBDTRegressor:
             raise ValueError("X must be (n, f) with matching non-empty y")
         self.binner_ = Binner(self.n_bins)
         self._forest_ = None
+        self._memo_ = _EMPTY_MEMO
         binned = self.binner_.fit_transform(X)
         self.base_ = float(y.mean())
         pred = np.full(y.shape[0], self.base_)
@@ -130,18 +138,47 @@ class GBDTRegressor:
             forest = self._forest_ = [
                 t.packed()[:4] + (lr * t.packed()[4],) for t in self.trees_
             ]
+            self._memo_ = _EMPTY_MEMO
         return forest
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.binner_ is None:
-            raise RuntimeError("model not fitted")
-        binned = self.binner_.transform(np.asarray(X, dtype=np.float64))
+    def _walk(self, binned: np.ndarray) -> np.ndarray:
         out = np.full(binned.shape[0], self.base_)
         # per-tree, in boosting order: float accumulation order is part of
         # the model's observable output and must not change
         for feature, threshold, left, right, scaled in self._packed_forest():
             out += scaled[apply_binned(binned, feature, threshold, left, right)]
         return out
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predicted target per row.
+
+        A row's prediction depends only on its binned features, so each
+        distinct binned row is walked through the forest once per fitted
+        model: rows pack into one ``uint64`` key (one byte per feature), and
+        a sorted key -> prediction memo answers every row seen before.  The
+        walk per row is unchanged, so the output is bit-identical to walking
+        every row.  Models with more than 8 features walk every row.
+        """
+        if self.binner_ is None:
+            raise RuntimeError("model not fitted")
+        binned = self.binner_.transform(np.asarray(X, dtype=np.float64))
+        n, n_features = binned.shape
+        if n_features > _KEY_BYTES:
+            return self._walk(binned)
+        self._packed_forest()  # a rebuilt forest starts an empty memo
+        packed = np.zeros((n, _KEY_BYTES), dtype=np.uint8)
+        packed[:, :n_features] = binned
+        keys, first, inverse = np.unique(
+            packed.view(np.uint64).ravel(), return_index=True, return_inverse=True
+        )
+        memo_keys, memo_vals = self._memo_
+        fresh = ~np.isin(keys, memo_keys, assume_unique=True)
+        if fresh.any():
+            at = np.searchsorted(memo_keys, keys[fresh])
+            memo_keys = np.insert(memo_keys, at, keys[fresh])
+            memo_vals = np.insert(memo_vals, at, self._walk(binned[first[fresh]]))
+            self._memo_ = (memo_keys, memo_vals)
+        return memo_vals[np.searchsorted(memo_keys, keys)][inverse]
 
     def feature_importances(self, normalize: bool = True) -> np.ndarray:
         """Total split gain per feature (Table 1's Gini importance)."""
